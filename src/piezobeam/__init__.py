@@ -70,7 +70,6 @@ from .simulate import (
     simulate,
     simulate_residual_mode,
     stability_cap,
-    step_dynamics,
 )
 from .synthesis import (
     GainSet,

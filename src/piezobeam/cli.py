@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 failed placement check, 2 configuration error,
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
+from itertools import chain, islice
 
 import numpy as np
 
@@ -45,22 +47,50 @@ def _fmt(value):
     return format(float(value), ".12g")
 
 
+CSV_CHUNK_ROWS = 4096
+
+
+@cache
+def _number_format(width):
+    """%-format of a row of ``width`` numbers; ``%.12g`` matches ``_fmt``."""
+    return ",".join(["%.12g"] * width) + "\n"
+
+
+def _row_format(row):
+    """%-format of one row: strings as they are, numbers as ``_fmt``."""
+    return ",".join("%s" if isinstance(v, str) else "%.12g"
+                    for v in row) + "\n"
+
+
+def _chunk_text(chunk):
+    """CSV lines of a list of rows, formatted by one %-format string."""
+    values = tuple(chain.from_iterable(chunk))
+    try:
+        return "".join([_number_format(len(row)) for row in chunk]) % values
+    except TypeError:   # strings among the values
+        return "".join([_row_format(row) for row in chunk]) % values
+
+
 def write_csv(path, header, rows):
-    """Write rows of numbers/strings with deterministic formatting."""
+    """Write rows of numbers/strings with deterministic formatting.
+
+    ``rows`` is iterated once and written a chunk of rows at a time.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                v if isinstance(v, str) else _fmt(v) for v in row
-            ) + "\n")
+        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+            fh.write(_chunk_text(chunk))
     return path
 
 
 def _timeseries_rows(result):
-    for i in range(len(result.t)):
-        yield (result.t[i], result.norm_e[i], result.norm_z[i],
-               result.V[i], result.y[i], result.norm_residual[i])
+    cols = (result.t, result.norm_e, result.norm_z, result.V, result.y,
+            result.norm_residual)
+    for i0 in range(0, len(result.t), CSV_CHUNK_ROWS):
+        yield from np.column_stack(
+            [c[i0 : i0 + CSV_CHUNK_ROWS] for c in cols]).tolist()
 
 
 def cmd_check(config, out_dir):

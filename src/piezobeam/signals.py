@@ -180,33 +180,20 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def _splitmix64(x):
-    """SplitMix64 finalizer; a cheap stateless integer hash."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
-
-
-def _hold_value(seed, index, bound):
-    h = _splitmix64(((seed & _MASK) << 1) ^ _splitmix64(index & _MASK))
-    u = (h >> 11) * (1.0 / (1 << 53))  # uniform in [0, 1)
-    return (2.0 * u - 1.0) * bound
+    """SplitMix64 finalizer on uint64 arrays; products wrap mod 2^64."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 def noise_sample(spec, t):
     """xi(t): deterministic in (spec.seed, t), |xi| <= spec.bound."""
-    if spec.bound == 0.0:
-        return 0.0
-    if spec.waveform is NoiseWaveform.SINUSOIDAL:
-        return spec.bound * math.sin(spec.frequency * t + spec.phase)
-    if spec.hold is None:
-        raise ValueError("NoiseSpec.hold is unresolved; set it or simulate()")
-    index = int(math.floor(t / spec.hold))
-    return _hold_value(spec.seed, index, spec.bound)
+    return float(noise_samples(spec, np.array([t], dtype=float))[0])
 
 
 def noise_samples(spec, times):
-    """Vectorized noise_sample over an array of times."""
+    """xi at an array of times; UNIFORM_HOLD hashes (seed, interval index)."""
     times = np.asarray(times, dtype=float)
     if spec.bound == 0.0:
         return np.zeros_like(times)
@@ -214,17 +201,12 @@ def noise_samples(spec, times):
         return spec.bound * np.sin(spec.frequency * times + spec.phase)
     if spec.hold is None:
         raise ValueError("NoiseSpec.hold is unresolved; set it or simulate()")
-    idx = np.floor(times / spec.hold).astype(np.int64)
-    out = np.empty_like(times)
-    flat_idx = idx.ravel()
-    flat_out = out.ravel()
-    cache = {}
-    for j, i in enumerate(flat_idx):
-        i = int(i)
-        if i not in cache:
-            cache[i] = _hold_value(spec.seed, i, spec.bound)
-        flat_out[j] = cache[i]
-    return out
+    # interval indices as two's-complement uint64, i.e. index & _MASK
+    idx = np.floor(times.ravel() / spec.hold).astype(np.int64).view(np.uint64)
+    seed = np.uint64(((spec.seed & _MASK) << 1) & _MASK)
+    h = _splitmix64(seed ^ _splitmix64(idx))
+    u = (h >> np.uint64(11)).astype(float) * (1.0 / (1 << 53))  # [0, 1)
+    return ((2.0 * u - 1.0) * spec.bound).reshape(times.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,11 @@ such a system collapses to
     X+ = R X + P1 G c(t) + (P2 + P3) G c(t + dt/2) + P4 G c(t + dt)
 
 with matrices R, P* that are polynomials in dt*M, precomputed once.  This
-is algebraically classical RK4, evaluated with three channel lookups and
-four small mat-vecs per step.
+is algebraically classical RK4.  Over a horizon it is a linear recurrence
+with a constant matrix, so ``RK4.run`` evaluates it as a blocked scan: the
+forcing of every step in a few GEMMs, then blocks of b steps advanced side
+by side, with the block starts carried by R^b.  The coupled simulation and
+the single-mode residual runs share that engine.
 """
 
 import math
@@ -30,6 +33,10 @@ from .signals import modal_force, noise_samples
 
 DT_REAL_FACTOR = 0.1      # dt <= 0.1 / max |Re lambda|
 DT_IMAG_FACTOR = 2 * math.pi / 20.0  # >= 20 steps per fastest period
+
+# Rows per chunk when assembling forcing, checking finiteness and streaming
+# residual-mode runs: bounds the temporaries whatever the horizon.
+CHUNK_ROWS = 1 << 14
 
 
 class Coupling(Enum):
@@ -122,6 +129,80 @@ def stability_cap(system, gains, block=None):
     return cap
 
 
+class RK4:
+    """Classical RK4 of x' = M x + G c(t) at fixed dt, in propagator form.
+
+    One step is x+ = R1 x + P1G c(t) + P23G c(t + dt/2) + P4G c(t + dt):
+    R1 = sum (dt M)^k / k!, k = 0..4, and the per-stage forcing polynomials
+    applied to G (stages 2 and 3 share c(t + dt/2)).
+    """
+
+    def __init__(self, M, G, dt):
+        I = np.eye(M.shape[0])
+        Mdt = dt * M
+        self.R1 = I + Mdt @ (I + Mdt @ (I / 2 + Mdt @ (I / 6 + Mdt / 24)))
+        # weights of g(t), g(t+dt/2), g(t+dt) in (dt/6)(k1 + 2 k2 + 2 k3 + k4)
+        P1 = (dt / 6) * (I + Mdt @ (I + Mdt @ (I / 2 + Mdt / 4)))
+        P23 = (dt / 6) * (4 * I + Mdt @ (2 * I + Mdt / 2))
+        self.P1G = P1 @ G
+        self.P23G = P23 @ G
+        self.P4G = (dt / 6) * G
+        # u_i = [c_2i, c_2i+1, c_2i+2] @ PG.T: the three stages in one GEMM
+        self.PG = np.hstack([self.P1G, self.P23G, self.P4G])
+
+    def step(self, x, c):
+        """One step from x; c holds the channel values at t, t + dt/2, t + dt."""
+        return (self.R1 @ x + self.P1G @ c[0] + self.P23G @ c[1]
+                + self.P4G @ c[2])
+
+    def run(self, X, c):
+        """Fill X[1:] in place with the states after each step from X[0].
+
+        ``c`` holds the channel values on the half-step grid: step i uses
+        rows 2i, 2i+1 and 2i+2.  X must be C-contiguous.  The forcing u_i
+        of every step goes into X[1:] first, chunk by chunk.  The steps are
+        then taken in blocks of b ~ sqrt(n/2), all blocks side by side:
+
+        - b - 1 GEMMs give each block's forced response from rest at its end;
+        - n // b mat-vecs with R1^b carry the block starts;
+        - b GEMMs run every block forward from its start, x+ = R1 x + u;
+
+        and the steps past the last whole block run one by one.  That is
+        about 2b + n/b interpreted iterations instead of n.  Overflow is
+        left in X as non-finite rows for the caller to find.
+        """
+        n, d = X.shape[0] - 1, X.shape[1]
+        if n == 0:
+            return X
+        for i0 in range(0, n, CHUNK_ROWS):
+            i1 = min(i0 + CHUNK_ROWS, n)
+            stages = np.hstack([c[2 * i0 + k : 2 * i1 + k : 2]
+                                for k in range(3)])
+            np.matmul(stages, self.PG.T, out=X[1 + i0 : 1 + i1])
+
+        b = max(1, round(math.sqrt(n / 2)))
+        m = n // b
+        R1T = self.R1.T
+        U = X[1 : 1 + m * b].reshape(m, b, d)   # a view: rows are written
+        with np.errstate(over="ignore", invalid="ignore"):
+            end = U[:, 0].copy()
+            for j in range(1, b):
+                end = end @ R1T + U[:, j]
+            RbT = np.linalg.matrix_power(self.R1, b).T
+            starts = np.empty((m, d))
+            s = X[0]
+            for k in range(m):
+                starts[k] = s
+                s = s @ RbT + end[k]
+            prev = starts
+            for j in range(b):
+                U[:, j] += prev @ R1T
+                prev = U[:, j]
+            for i in range(m * b, n):
+                X[i + 1] += X[i] @ R1T
+        return X
+
+
 class CoupledDynamics:
     """Precompiled RK4 stepping of the coupled linear system at fixed dt."""
 
@@ -179,20 +260,7 @@ class CoupledDynamics:
         noise_col = np.zeros(self.dim)
         noise_col[2 * N : 4 * N] = self.L
         channels.append(noise_col)
-        G = np.column_stack(channels)
-
-        # RK4 propagators: R1 = sum (dt M)^k / k!, k = 0..4, and the three
-        # per-stage forcing polynomials (stages 2 and 3 share g(t + dt/2)).
-        I = np.eye(self.dim)
-        Mdt = self.dt * M
-        self.R1 = I + Mdt @ (I + Mdt @ (I / 2 + Mdt @ (I / 6 + Mdt / 24)))
-        # weights of g(t), g(t+dt/2), g(t+dt) in (dt/6)(k1 + 2 k2 + 2 k3 + k4)
-        P1 = (self.dt / 6) * (I + Mdt @ (I + Mdt @ (I / 2 + Mdt / 4)))
-        P23 = (self.dt / 6) * (4 * I + Mdt @ (2 * I + Mdt / 2))
-        P4 = (self.dt / 6) * I
-        self.P1G = P1 @ G
-        self.P23G = P23 @ G
-        self.P4G = P4 @ G
+        self.rk4 = RK4(M, np.column_stack(channels), self.dt)
 
     def channel_values(self, times):
         """Channel value matrix c(t) for an array of times."""
@@ -206,12 +274,7 @@ class CoupledDynamics:
     def step(self, x, t):
         """One classical RK4 step from (x, t) to t + dt."""
         c = self.channel_values(np.array([t, t + self.dt / 2, t + self.dt]))
-        return (
-            self.R1 @ x
-            + self.P1G @ c[0]
-            + self.P23G @ c[1]
-            + self.P4G @ c[2]
-        )
+        return self.rk4.step(x, c)
 
     def initial_state(self, config):
         N, R = self.N, self.R
@@ -255,20 +318,6 @@ def _resolve(system, gains, disturbance, noise, config):
     return dt, noise
 
 
-def step_dynamics(state, t, system, gains, disturbance, noise, config):
-    """One RK4 step of the coupled dynamics; state is [z, z_hat, z_res].
-
-    Convenience single-step entry point; ``simulate`` runs the same
-    stepping loop with the operator built once.
-    """
-    dt, noise = _resolve(system, gains, disturbance, noise, config)
-    dyn = CoupledDynamics(system, gains, disturbance, noise, dt, config)
-    x = dyn.step(np.asarray(state, dtype=float), t)
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError(1, t + dt)
-    return x
-
-
 def simulate(system, gains, disturbance, noise, config):
     """Integrate the coupled system over [0, t_final] and collect histories."""
     dt, noise = _resolve(system, gains, disturbance, noise, config)
@@ -283,28 +332,25 @@ def simulate(system, gains, disturbance, noise, config):
 
     X = np.empty((n_steps + 1, dyn.dim))
     X[0] = dyn.initial_state(config)
-    x = X[0]
 
     # channel values on the half-step grid: stage times of step i are
     # 2i, 2i+1, 2i+2
     half_times = np.arange(2 * n_steps + 1) * (dt / 2.0)
     c = dyn.channel_values(half_times)
-
-    R1, P1G, P23G, P4G = dyn.R1, dyn.P1G, dyn.P23G, dyn.P4G
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            x = (R1 @ x + P1G @ c[2 * i] + P23G @ c[2 * i + 1]
-                 + P4G @ c[2 * i + 2])
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(i + 1, (i + 1) * dt)
-            X[i + 1] = x
+    dyn.rk4.run(X, c)
+    xi = c[::2, -1].copy()   # the noise channel; t[i] == half_times[2i]
+    del c, half_times        # freed before the post-processing temporaries
+    for i0 in range(1, n_steps + 1, CHUNK_ROWS):
+        finite = np.isfinite(X[i0 : i0 + CHUNK_ROWS]).all(axis=1)
+        if not finite.all():
+            step = i0 + int(np.argmin(finite))   # row i is the state at step i
+            raise DivergenceError(step, step * dt)
 
     z = X[:, : 2 * N]
     z_hat = X[:, 2 * N : 4 * N]
     res = X[:, 4 * N :]
     e = z - z_hat
     V = -(z_hat @ dyn.K)
-    xi = noise_samples(noise, t)
     r = res @ dyn.block.C if R > 0 else np.zeros(n_steps + 1)
     y = z @ system.C + r + xi
 
@@ -326,7 +372,9 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
     Integrates w'' + d_k w' + sigma_k^4 w = a2 * sum_j A_j cos(om_j t + ph_j)
     from rest and records sup |(w, w')| and sup |w| after ``settle_time``
     (default: 12 decay times).  Used by the spillover decay studies, where
-    a light per-mode loop beats assembling a large coupled system.
+    a 2-state run beats assembling a large coupled system.  The horizon is
+    streamed through ``RK4.run`` in chunks of CHUNK_ROWS steps, so memory
+    does not grow with it.
     """
     from .modal import DampingModel, damping_coefficients
 
@@ -347,29 +395,26 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
     if dt is None:
         dt = min(DT_IMAG_FACTOR / om_max / 2.0, DT_REAL_FACTOR / max(d, rate))
 
-    a2 = params.a2
     hs = [(float(a), float(om), float(ph)) for a, om, ph in harmonics]
-
-    def accel(w, wd, t):
-        f = sum(a * math.cos(om * t + ph) for a, om, ph in hs)
-        return -d * wd - s4 * w + a2 * f
-
-    w = wd = 0.0
+    rk4 = RK4(np.array([[0.0, 1.0], [-s4, -d]]), np.array([[0.0], [params.a2]]),
+              dt)
     n = int(round(t_final / dt))
+    X = np.empty((CHUNK_ROWS + 1, 2))
+    x = np.zeros(2)
     sup_state = 0.0
     sup_disp = 0.0
-    for i in range(n):
-        t = i * dt
-        k1w, k1v = wd, accel(w, wd, t)
-        k2w = wd + 0.5 * dt * k1v
-        k2v = accel(w + 0.5 * dt * k1w, k2w, t + 0.5 * dt)
-        k3w = wd + 0.5 * dt * k2v
-        k3v = accel(w + 0.5 * dt * k2w, k3w, t + 0.5 * dt)
-        k4w = wd + dt * k3v
-        k4v = accel(w + dt * k3w, k4w, t + dt)
-        w += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        wd += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if t >= settle_time:
-            sup_state = max(sup_state, math.hypot(w, wd))
-            sup_disp = max(sup_disp, abs(w))
+    for i0 in range(0, n, CHUNK_ROWS):
+        i1 = min(i0 + CHUNK_ROWS, n)
+        half_times = np.arange(2 * i0, 2 * i1 + 1) * (dt / 2.0)
+        f = np.zeros((half_times.size, 1))
+        for a, om, ph in hs:
+            f[:, 0] += a * np.cos(om * half_times + ph)
+        X[0] = x
+        Xc = rk4.run(X[: i1 - i0 + 1], f)
+        x = Xc[-1].copy()
+        # row 1 + j is the state after step i0 + j, kept from i dt >= settle
+        settled = Xc[1:][np.arange(i0, i1) * dt >= settle_time]
+        if settled.size:
+            sup_state = max(sup_state, float(np.max(np.hypot(*settled.T))))
+            sup_disp = max(sup_disp, float(np.max(np.abs(settled[:, 0]))))
     return sup_state, sup_disp

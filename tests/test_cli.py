@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from piezobeam.cli import main
+from piezobeam.cli import CSV_CHUNK_ROWS, _fmt, main, write_csv
 from piezobeam.config import PRESETS, load_config, resolve_config
 from piezobeam.errors import ConfigError
 from piezobeam.signals import NoiseWaveform
@@ -234,3 +234,49 @@ def test_output_dir_env_var(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, {"preset": "fig1", **fast_sim_overrides()})
     assert main(["simulate", "--config", path]) == 0
     assert (target / "fig1_timeseries.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# CSV writer
+# ---------------------------------------------------------------------------
+
+def reference_csv(header, rows):
+    """Bytes of the row-by-row writer: numbers through _fmt, strings as is."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row)
+              for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_csv_bytes_match_reference_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    specials = [0.0, -0.0, 5e-324, -2.2250738585072e-309, 1e300, -1e300,
+                1e-300, -1e-300, 1.0, 0.1, 123456789012345.0, float("inf"),
+                float("-inf"), float("nan")]
+    numbers = [tuple(v) for v in rng.standard_normal((2 * CSV_CHUNK_ROWS, 3))
+               * 10.0 ** rng.integers(-20, 20, (2 * CSV_CHUNK_ROWS, 3))]
+    numbers[5:5 + len(specials) // 2] = list(zip(specials[::2], specials[1::2],
+                                               specials[::-2]))
+    tables = {
+        "numbers": (["a", "b", "c"], numbers + [(1.0, 2.0, 3.0)]),
+        # the residual table: np.int64 mode numbers, "" for a missing sup
+        "residual": (["mode", "bound", "sup"],
+                     [(np.int64(k), 1.0 / k**2, "" if k % 3 else 0.5 / k)
+                      for k in range(4, 44)]),
+        # the gains table: name, value
+        "gains": (["name", "value"],
+                  [("lambda_L", 34.0), ("K_0", np.float64(-0.0)),
+                   ("L_1", 5e-324), ("big", np.int64(2**62))]),
+        "empty": (["x"], []),
+    }
+    for name, (header, rows) in tables.items():
+        consumed = []
+
+        def once(rows=rows):
+            for row in rows:
+                consumed.append(row)
+                yield row
+
+        path = write_csv(tmp_path / f"{name}.csv", header, once())
+        assert len(consumed) == len(rows), name
+        assert path.read_bytes() == reference_csv(header, rows), name

@@ -145,12 +145,45 @@ def test_noise_bound_on_many_samples():
     assert len(np.unique(vals)) > 1000
 
 
+_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+def _splitmix64(x):
+    x = (x + 0x9E3779B97F4A7C15) & _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
+
+
+def _hold_value(seed, index, bound):
+    """Reference: the held noise value, in Python integers."""
+    h = _splitmix64(((seed & _MASK) << 1) ^ _splitmix64(index & _MASK))
+    u = (h >> 11) * (1.0 / (1 << 53))
+    return (2.0 * u - 1.0) * bound
+
+
 def test_noise_samples_match_scalar_path():
-    spec = NoiseSpec(bound=0.02, seed=3, hold=0.01)
-    t = np.linspace(0.0, 1.0, 101)
-    vec = noise_samples(spec, t)
-    scal = np.array([noise_sample(spec, ti) for ti in t])
-    np.testing.assert_array_equal(vec, scal)
+    hold = 0.01
+    indices = [-(2**62) - 7, -12345, -1, 0, 1, 2, 99, 2**40 + 3,
+               2**62 - 1, 2**62, 2**62 + 2048]
+    # mid-interval times; near 2**62 the half is lost to rounding, so the
+    # expected index is floor(t / hold) in Python integers, as the scalar
+    # path took it
+    t = (np.array(indices, dtype=float) + 0.5) * hold
+    expect_idx = [math.floor(ti / hold) for ti in t]
+    assert min(expect_idx) <= -(2**62) and max(expect_idx) >= 2**62
+    for seed in (0, 3, 2**32 + 1, 2**63, 2**63 + 12345, 2**64 - 1):
+        spec = NoiseSpec(bound=0.02, seed=seed, hold=hold)
+        vec = noise_samples(spec, t)
+        scal = [_hold_value(seed, i, 0.02) for i in expect_idx]
+        assert vec.tolist() == scal, seed
+        assert [noise_sample(spec, ti) for ti in t] == scal, seed
+    spec = NoiseSpec(bound=0.02, seed=3, hold=hold)
+    grid = np.linspace(-1.0, 1.0, 2002).reshape(1001, 2)
+    vec = noise_samples(spec, grid)
+    assert vec.shape == grid.shape
+    assert vec.ravel().tolist() == [
+        _hold_value(3, math.floor(ti / hold), 0.02) for ti in grid.ravel()]
 
 
 def test_sinusoidal_noise():

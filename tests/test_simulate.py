@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,17 +11,18 @@ from piezobeam.modal import DampingModel, Placement, assemble, static_gain
 from piezobeam.signals import (
     NoiseSpec,
     build_disturbance,
+    noise_samples,
     constant_disturbance,
     polyharmonic_disturbance,
 )
 from piezobeam.simulate import (
+    CoupledDynamics,
     Coupling,
     SimConfig,
     closed_loop_matrix,
     simulate,
     simulate_residual_mode,
     stability_cap,
-    step_dynamics,
 )
 from piezobeam.synthesis import (
     GainSet,
@@ -91,7 +94,6 @@ def test_dc_gain_single_mode():
 
 def test_step_matches_textbook_rk4():
     # independent oracle: explicit four-stage RK4 on x' = M x + g(t)
-    from piezobeam.simulate import CoupledDynamics
     system = assemble(PARAMS, 2, PATCH)
     gains = fig_gains(system)
     dist = polyharmonic_disturbance(PARAMS, driven_modes=3)
@@ -101,7 +103,7 @@ def test_step_matches_textbook_rk4():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(dyn.dim)
 
-    G = dyn.P4G * (6.0 / dyn.dt)  # P4 = (dt/6) I, so this recovers G
+    G = dyn.rk4.P4G * (6.0 / dyn.dt)  # P4 = (dt/6) I, so this recovers G
 
     def g(t):
         return G @ dyn.channel_values(np.array([t]))[0]
@@ -116,16 +118,37 @@ def test_step_matches_textbook_rk4():
                                atol=1e-12)
 
 
-def test_step_dynamics_matches_simulate():
+def block_size(n):
+    """The scan's block length for an n-step horizon, b ~ sqrt(n / 2)."""
+    return max(1, round(math.sqrt(n / 2)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 9, 50, 2000])
+def test_simulate_matches_sequential_steps(n):
+    # The blocked scan against CoupledDynamics.step, the textbook-checked
+    # single step, looped.  n = 1 and 3 are one-step blocks, 9 is 4 blocks
+    # of 2 plus a 1-step tail, 50 is 10 whole blocks of 5, 2000 is 62
+    # blocks of 32 plus a 16-step tail.  The scan reorders sums, so the
+    # match is to rounding, not bitwise.  The hold is incommensurate with
+    # dt so that no stage time falls on a hold boundary.
     system = assemble(PARAMS, 2, PATCH)
-    dist = polyharmonic_disturbance(PARAMS, driven_modes=2)
-    noise = NoiseSpec(bound=0.01, seed=11, hold=0.01)
-    cfg = SimConfig(t_final=0.01, dt=2.5e-4, residual_modes=2, seed=3)
-    res = simulate(system, fig_gains(system), dist, noise, cfg)
-    x0 = np.concatenate([res.z[0], res.z_hat[0], res.residual[0]])
-    x1 = step_dynamics(x0, 0.0, system, fig_gains(system), dist, noise, cfg)
-    np.testing.assert_array_equal(
-        x1, np.concatenate([res.z[1], res.z_hat[1], res.residual[1]]))
+    gains = fig_gains(system)
+    dist = polyharmonic_disturbance(PARAMS, driven_modes=4)
+    noise = NoiseSpec(bound=0.01, seed=11, hold=0.0104719755)
+    dt = 2.5e-4
+    cfg = SimConfig(t_final=n * dt, dt=dt, residual_modes=2, seed=3)
+    res = simulate(system, gains, dist, noise, cfg)
+    X = np.concatenate([res.z, res.z_hat, res.residual], axis=1)
+    assert X.shape == (n + 1, 12)
+
+    dyn = CoupledDynamics(system, gains, dist, noise, dt, cfg)
+    expect = np.empty_like(X)
+    expect[0] = dyn.initial_state(cfg)
+    for i in range(n):
+        expect[i + 1] = dyn.step(expect[i], i * dt)
+    np.testing.assert_array_equal(X[0], expect[0])
+    np.testing.assert_allclose(X, expect, rtol=0,
+                               atol=1e-11 * np.max(np.abs(expect)))
 
 
 def test_stored_error_identity():
@@ -242,22 +265,51 @@ def test_noise_free_error_decay_bound():
     assert np.all(res.norm_e <= bound * (1.0 + 1e-9))
 
 
-def test_divergence_raises():
-    system = assemble(PARAMS, 2, PATCH)
+def unstable_gains(system):
     L_good = place_observer_poles(system.A, system.C,
                                   radial_pole_targets(system.A, 30.0))
     # negated observer gain destabilizes the error dynamics
     A_bad = system.A + np.outer(L_good, system.C)
     assert np.max(np.linalg.eigvals(A_bad).real) > 1.0
-    bad = GainSet(K=np.zeros(4), L=-L_good, lambda_K=1.0, lambda_L=1.0,
-                  K_norm=0.0, L_norm=float(np.linalg.norm(L_good)),
-                  BK_norm=0.0)
+    return GainSet(K=np.zeros(4), L=-L_good, lambda_K=1.0, lambda_L=1.0,
+                   K_norm=0.0, L_norm=float(np.linalg.norm(L_good)),
+                   BK_norm=0.0)
+
+
+def test_divergence_raises():
+    system = assemble(PARAMS, 2, PATCH)
+    bad = unstable_gains(system)
     # growth rate ~ 192: overflow near t = 709 / 192, well inside the horizon
     cfg = SimConfig(t_final=10.0, seed=1)
     with pytest.raises(DivergenceError) as err:
         simulate(system, bad, NO_FORCE, NO_NOISE, cfg)
     assert err.value.step >= 1
     assert err.value.time < 10.0
+
+
+def test_divergence_step_matches_sequential_oracle():
+    system = assemble(PARAMS, 2, PATCH)
+    bad = unstable_gains(system)
+    cfg = SimConfig(t_final=10.0, seed=1)
+    dt = 0.5 * stability_cap(system, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            simulate(system, bad, NO_FORCE, NO_NOISE, cfg)
+
+    n_steps = int(round(cfg.t_final / dt))
+    dyn = CoupledDynamics(system, bad, NO_FORCE, NO_NOISE, dt, cfg)
+    x = dyn.initial_state(cfg)
+    first_bad = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            x = dyn.step(x, i * dt)
+            if not np.all(np.isfinite(x)):
+                first_bad = i + 1
+                break
+    assert first_bad is not None
+    assert abs(err.value.step - first_bad) <= block_size(n_steps)
+    assert err.value.time == err.value.step * dt
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +366,18 @@ def test_full_coupling_feels_the_controller():
     np.testing.assert_array_equal(res_trunc0.residual, res_full0.residual)
 
 
+def test_output_noise_is_the_noise_on_the_time_grid():
+    # simulate reads xi(t_i) off the half-step channel grid at 2i
+    system = assemble(PARAMS, 2, PATCH)
+    noise = NoiseSpec(bound=0.01, seed=4)   # hold resolved to 10 dt
+    cfg = SimConfig(t_final=0.5, dt=2.5e-4, seed=5)
+    res = simulate(system, fig_gains(system), NO_FORCE, noise, cfg)
+    xi = noise_samples(res.noise, res.t)
+    assert len(np.unique(xi)) > 100
+    np.testing.assert_array_equal(
+        res.y, res.z @ system.C + np.zeros(len(res.t)) + xi)
+
+
 def test_measurement_spillover_enters_output():
     res = residual_setup(Coupling.TRUNCATED, "none")
     from piezobeam.modal import residual_block
@@ -326,6 +390,100 @@ def test_measurement_spillover_enters_output():
 # ---------------------------------------------------------------------------
 # single-mode residual integrator
 # ---------------------------------------------------------------------------
+
+def scalar_residual_mode(params, k, harmonics, t_final=None, dt=None,
+                         damping_model=DampingModel.STRUCTURAL,
+                         settle_time=None):
+    """Reference: simulate_residual_mode as a per-step scalar RK4 loop."""
+    from piezobeam.modal import damping_coefficients
+    from piezobeam.simulate import DT_IMAG_FACTOR, DT_REAL_FACTOR
+
+    s2 = (k * math.pi) ** 2
+    s4 = s2 * s2
+    d = float(damping_coefficients(params, np.array([k]), damping_model)[0])
+    rate = d / 2.0 if d * d < 4.0 * s4 else \
+        (d - math.sqrt(d * d - 4.0 * s4)) / 2.0
+    om_max = max(max((abs(om) for _, om, _ in harmonics), default=s2), s2)
+    if settle_time is None:
+        settle_time = 12.0 / rate
+    if t_final is None:
+        t_final = settle_time + 40.0 * (2.0 * math.pi / om_max)
+    if dt is None:
+        dt = min(DT_IMAG_FACTOR / om_max / 2.0, DT_REAL_FACTOR / max(d, rate))
+    a2 = params.a2
+
+    def accel(w, wd, t):
+        f = sum(a * math.cos(om * t + ph) for a, om, ph in harmonics)
+        return -d * wd - s4 * w + a2 * f
+
+    w = wd = 0.0
+    sup_state = sup_disp = 0.0
+    for i in range(int(round(t_final / dt))):
+        t = i * dt
+        k1w, k1v = wd, accel(w, wd, t)
+        k2w = wd + 0.5 * dt * k1v
+        k2v = accel(w + 0.5 * dt * k1w, k2w, t + 0.5 * dt)
+        k3w = wd + 0.5 * dt * k2v
+        k3v = accel(w + 0.5 * dt * k2w, k3w, t + 0.5 * dt)
+        k4w = wd + dt * k3v
+        k4v = accel(w + dt * k3w, k4w, t + dt)
+        w += dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        wd += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if t >= settle_time:
+            sup_state = max(sup_state, math.hypot(w, wd))
+            sup_disp = max(sup_disp, abs(w))
+    return sup_state, sup_disp
+
+
+def damped_omega(k, model):
+    from piezobeam.analysis import _damped_freq
+    return _damped_freq(PARAMS, k, model)
+
+
+@pytest.mark.parametrize("k, model, harmonics", [
+    (4, DampingModel.STRUCTURAL, [(2.0, 0.8 * (4 * math.pi) ** 2, 0.3)]),
+    (6, DampingModel.STRUCTURAL,
+     [(1.0, damped_omega(6, DampingModel.STRUCTURAL), 0.0)]),
+    (9, DampingModel.STRUCTURAL,
+     [(1.0, damped_omega(9, DampingModel.STRUCTURAL), 0.0),
+      (0.5, 3.0, 1.1)]),
+    (10, DampingModel.KELVIN_VOIGT,
+     [(1.0, damped_omega(10, DampingModel.KELVIN_VOIGT), 0.0)]),
+])
+def test_residual_mode_matches_scalar_loop(k, model, harmonics):
+    # multi-chunk horizons: 17k-31k steps against 16k-step chunks
+    got = simulate_residual_mode(PARAMS, k, harmonics, damping_model=model)
+    want = scalar_residual_mode(PARAMS, k, harmonics, damping_model=model)
+    assert want[0] > 0.0 and want[1] > 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+def test_residual_mode_sup_starts_at_settle_time():
+    # the sup covers states after step i with i dt >= settle_time only
+    om = damped_omega(5, DampingModel.STRUCTURAL)
+    for settle in (0.0, 0.05, 0.1 + 1e-3, 0.3):
+        got = simulate_residual_mode(PARAMS, 5, [(1.0, om, 0.0)],
+                                     t_final=0.3, dt=1e-4, settle_time=settle)
+        want = scalar_residual_mode(PARAMS, 5, [(1.0, om, 0.0)],
+                                    t_final=0.3, dt=1e-4, settle_time=settle)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+    assert got == (0.0, 0.0)
+
+
+def test_residual_mode_memory_does_not_grow_with_horizon():
+    om = damped_omega(5, DampingModel.STRUCTURAL)
+    tracemalloc.start()
+    try:
+        sup, _ = simulate_residual_mode(PARAMS, 5, [(1.0, om, 0.0)],
+                                        t_final=400.0, dt=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 4e5 steps: held at once, the states alone would take 6.4 MB and the
+    # half-step forcing another 6.4 MB
+    assert sup > 0.0
+    assert peak < 4e6, peak
+
 
 def test_residual_mode_steady_amplitude_oracle():
     # off-resonance harmonic: compare against the frequency-response formula
