@@ -66,7 +66,6 @@ from .simulate import (
     Coupling,
     SimConfig,
     SimulationResult,
-    closed_loop_matrix,
     simulate,
     simulate_residual_mode,
     stability_cap,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .modal import DampingModel, damping_coefficients
-from .signals import modal_force
 from .simulate import simulate_residual_mode
 from .synthesis import decay_rate, eigvec_condition
 
@@ -229,7 +228,7 @@ class PerformanceMetrics:
     attenuation_ratio: float
 
 
-def performance_metrics(result, disturbance=None):
+def performance_metrics(result):
     """Transient/steady metrics of one run.
 
     The steady window is the final 20% of the horizon; the run must be long
@@ -237,10 +236,9 @@ def performance_metrics(result, disturbance=None):
     (10 / lambda_K), else ConfigError.  The steady band is mean + 3 std of
     ||e|| over the window; settling time is the first time ||e|| enters and
     stays within twice that band.  The attenuation ratio divides the steady
-    mean of ||z|| by the sup of the modal force vector norm sampled on the
-    grid.
+    mean of ||z|| by ``result.force_sup``, the sup of the modal force
+    vector norm sampled on the grid.
     """
-    disturbance = disturbance if disturbance is not None else result.disturbance
     t_final = result.t[-1]
     gains = result.gains
     lam = gains.lambda_K if gains is not None else decay_rate(result.system.A)
@@ -264,13 +262,7 @@ def performance_metrics(result, disturbance=None):
     settle = 0.0 if above.size == 0 else float(result.t[min(above[-1] + 1,
                                                             len(result.t) - 1)])
 
-    N = result.system.N
-    a2 = result.system.params.a2
-    f = np.stack([
-        a2 * np.asarray(modal_force(disturbance, n, result.t))
-        for n in range(1, N + 1)
-    ])
-    force_sup = float(np.max(np.linalg.norm(f, axis=0)))
+    force_sup = result.force_sup
     ratio = steady_z / force_sup if force_sup > 0.0 else 0.0
 
     return PerformanceMetrics(

@@ -161,11 +161,6 @@ def _check_position(x):
     return x if x.ndim else float(x)
 
 
-def sigma(n):
-    """Wavenumber of the n-th hinged mode, sigma_n = n * pi."""
-    return _check_mode(n) * math.pi
-
-
 def mode_shape(n, x):
     """n-th L2-normalized eigenfunction sqrt(2) sin(n pi x) on [0, 1]."""
     n = _check_mode(n)

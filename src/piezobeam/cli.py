@@ -23,7 +23,7 @@ from .analysis import (
     performance_metrics,
     residual_bounds,
 )
-from .config import load_config, resolve_out_dir
+from .config import load_config, resolve_out_dir, sweep_placement
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -31,7 +31,7 @@ from .errors import (
     PlacementError,
     UnstableMatrixError,
 )
-from .modal import DampingModel, Placement, assemble
+from .modal import DampingModel, assemble
 from .simulate import simulate
 from .synthesis import check_placement
 
@@ -191,13 +191,8 @@ def cmd_bounds(config, out_dir):
 def _sweep_placements(config):
     if config.sweep_parameter is None:
         raise ConfigError("sweep requires a 'sweep' section with parameter/values")
-    base = config.placement
     for value in config.sweep_values:
-        if config.sweep_parameter == "x0":
-            yield Placement(base.x1, base.x2, float(value), base.s1, base.s2)
-        else:
-            x1, x2 = (float(v) for v in value)
-            yield Placement(x1, x2, base.x0, base.s1, base.s2)
+        yield sweep_placement(config.placement, config.sweep_parameter, value)
 
 
 def cmd_sweep(config, out_dir):

@@ -13,8 +13,9 @@ fundamental resonance, observer rate 34 (fig2: 64).
 """
 
 import copy
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -215,6 +216,21 @@ def _enum(cls, value, where):
         raise ConfigError(f"{where}: '{value}' is not one of {options}") from None
 
 
+def sweep_placement(base, parameter, value):
+    """Placement of one sweep point: ``base`` with x0 or [x1, x2] replaced."""
+    names = ("x0",) if parameter == "x0" else ("x1", "x2")
+    values = [value] if parameter == "x0" else value
+    if not (isinstance(values, (list, tuple)) and len(values) == len(names)
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    for v in values)):
+        what = "a number" if parameter == "x0" else "an [x1, x2] pair of numbers"
+        raise ConfigError(f"sweep.values: {value!r} is not {what}")
+    try:
+        return replace(base, **{k: float(v) for k, v in zip(names, values)})
+    except ValueError as exc:
+        raise ConfigError(f"sweep.values: {exc}") from None
+
+
 def resolve_config(data):
     """Merge (defaults <- preset <- user data) and build ExperimentConfig."""
     if data is None:
@@ -312,8 +328,10 @@ def resolve_config(data):
             raise ConfigError(
                 f"sweep.parameter: '{sweep['parameter']}' is not one of x0, patch"
             )
-        if not sweep["values"]:
+        if not isinstance(sweep["values"], (list, tuple)) or not sweep["values"]:
             raise ConfigError("sweep.values must be a nonempty list")
+        for value in sweep["values"]:
+            sweep_placement(placement, sweep["parameter"], value)
 
     label = merged["label"] or preset_name or "run"
 

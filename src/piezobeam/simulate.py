@@ -1,15 +1,27 @@
 """Fixed-step integration of the coupled plant / observer / residual system.
 
-The combined state is X = [z, z_hat, z_res] with
+The plant z, observer z_hat and residual modes z_res obey
 
     z'     = A z + B V + F(t),            V = -K z_hat
     z_hat' = (A - B K) z_hat + L (y - C z_hat)
     y      = C z + r(t) + xi(t),          r = C_res z_res
     z_res' = A_res z_res + F_res(t)  (+ B_res V under full coupling)
 
-which is linear, X' = M X + G c(t), with time dependence confined to the
-channel values c(t) (modal forces and noise).  One classical RK4 step of
-such a system collapses to
+The integrated state is X = [z, e, z_res] with the observer error
+e = z - z_hat; z_hat = z - e is derived from it.  In these coordinates
+
+        [ A - BK       BK          0      ]
+    M = [ 0            A - LC     -L C_res ]
+        [ (-B_res K)  (B_res K)    A_res   ]
+
+with the bracketed blocks present under full coupling only.  Truncated,
+M is block upper-triangular and its spectrum is the separation spectrum
+eig(A - BK) + eig(A - LC) joined with eig(A_res); full, the control
+spillover can move it into the right half-plane.
+
+The system is linear, X' = M X + G c(t), with time dependence confined to
+the channel values c(t) (modal forces and noise).  One classical RK4 step
+of such a system collapses to
 
     X+ = R X + P1 G c(t) + (P2 + P3) G c(t + dt/2) + P4 G c(t + dt)
 
@@ -78,8 +90,11 @@ class SimConfig:
 class SimulationResult:
     """Trajectories on the time grid plus derived histories.
 
-    e is stored as z - z_hat of the stored steps; norms are Euclidean norms
-    of the stacked modal coefficient vectors.
+    z, e and residual are the integrated state (z, e, z_res); z_hat is
+    derived as z - e of the stored steps.  Norms are Euclidean norms of the
+    stacked modal coefficient vectors.  force_sup is the sup over the grid
+    of the retained modal force vector norm a2 ||(f_1..f_N)||.  noise is
+    the spec as run, with its hold resolved.
     """
 
     t: np.ndarray
@@ -92,6 +107,7 @@ class SimulationResult:
     norm_e: np.ndarray
     norm_z: np.ndarray
     norm_residual: np.ndarray
+    force_sup: float
     dt: float
     system: object
     gains: object
@@ -100,28 +116,11 @@ class SimulationResult:
     config: SimConfig
 
 
-def closed_loop_matrix(system, gains):
-    """Block matrix [[A - BK, BK], [0, A - LC]] acting on (z, e)."""
-    A = system.A
-    n = A.shape[0]
-    BK = np.outer(system.B, gains.K) if gains is not None else np.zeros_like(A)
-    LC = np.outer(gains.L, system.C) if gains is not None else np.zeros_like(A)
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = A - BK
-    M[:n, n:] = BK
-    M[n:, n:] = A - LC
-    return M
-
-
-def stability_cap(system, gains, block=None):
-    """Largest admissible RK4 step for the closed-loop + residual spectrum."""
-    eigs = [np.linalg.eigvals(closed_loop_matrix(system, gains))]
-    if block is not None and block.R > 0:
-        eigs.append(np.linalg.eigvals(block.A))
-    eigs = np.concatenate(eigs)
+def stability_cap(spectrum):
+    """Largest admissible RK4 step for an operator with this spectrum."""
     cap = math.inf
-    re = float(np.max(np.abs(eigs.real)))
-    im = float(np.max(np.abs(eigs.imag)))
+    re = float(np.max(np.abs(spectrum.real)))
+    im = float(np.max(np.abs(spectrum.imag)))
     if re > 0.0:
         cap = min(cap, DT_REAL_FACTOR / re)
     if im > 0.0:
@@ -204,16 +203,17 @@ class RK4:
 
 
 class CoupledDynamics:
-    """Precompiled RK4 stepping of the coupled linear system at fixed dt."""
+    """The coupled operator M on [z, e, z_res] and all that derives from it.
 
-    def __init__(self, system, gains, disturbance, noise, dt, config):
+    ``spectrum`` is eig(M) and ``cap`` its stability cap.  dt is
+    ``config.dt``, or half the cap when unset; a dt above the cap is a
+    ConfigError.  A noise spec without a hold gets ten steps.
+    """
+
+    def __init__(self, system, gains, disturbance, noise, config):
         N = system.N
         R = config.residual_modes
-        self.system = system
-        self.gains = gains
         self.disturbance = disturbance
-        self.noise = noise
-        self.dt = float(dt)
         self.N = N
         self.R = R
         self.block = residual_block(
@@ -221,46 +221,54 @@ class CoupledDynamics:
         )
         self.dim = 4 * N + 2 * R
 
-        K = gains.K if gains is not None else np.zeros(2 * N)
-        L = gains.L if gains is not None else np.zeros(2 * N)
-        self.K = np.asarray(K, dtype=float)
-        self.L = np.asarray(L, dtype=float)
+        zero = np.zeros(2 * N)
+        self.K = zero if gains is None else np.asarray(gains.K, dtype=float)
+        self.L = zero if gains is None else np.asarray(gains.L, dtype=float)
         A, B, C = system.A, system.B, system.C
         BK = np.outer(B, self.K)
-        LC = np.outer(self.L, C)
+        z, e, res = slice(0, 2 * N), slice(2 * N, 4 * N), slice(4 * N, None)
 
         M = np.zeros((self.dim, self.dim))
-        M[: 2 * N, : 2 * N] = A
-        M[: 2 * N, 2 * N : 4 * N] = -BK
-        M[2 * N : 4 * N, : 2 * N] = LC
-        M[2 * N : 4 * N, 2 * N : 4 * N] = A - BK - LC
-        if R > 0:
-            M[2 * N : 4 * N, 4 * N :] = np.outer(self.L, self.block.C)
-            M[4 * N :, 4 * N :] = self.block.A
-            if config.coupling is Coupling.FULL:
-                M[4 * N :, 2 * N : 4 * N] = -np.outer(self.block.B, self.K)
+        M[z, z] = A - BK
+        M[z, e] = BK
+        M[e, e] = A - np.outer(self.L, C)
+        M[e, res] = -np.outer(self.L, self.block.C)
+        M[res, res] = self.block.A
+        if config.coupling is Coupling.FULL:
+            spill = np.outer(self.block.B, self.K)
+            M[res, z] = -spill
+            M[res, e] = spill
         self.M = M
 
-        # forcing channels: one per driven mode present, plus the noise path
+        self.spectrum = np.linalg.eigvals(M)
+        self.cap = stability_cap(self.spectrum)
+        dt = config.dt if config.dt is not None else 0.5 * self.cap
+        if math.isfinite(self.cap) and dt > self.cap * (1.0 + 1e-9):
+            raise ConfigError(
+                f"dt = {dt:.3e} exceeds the stability cap {self.cap:.3e} of "
+                "the coupled operator M (max Re eig(M) = "
+                f"{float(np.max(self.spectrum.real)):.3g}); reduce dt or "
+                "leave it unset"
+            )
+        self.dt = float(dt)
+        self.noise = (noise if noise.hold is not None
+                      else replace(noise, hold=10.0 * self.dt))
+
+        # forcing channels: one per driven mode present, plus the noise path.
+        # A retained mode's force drives z and e alike (z_hat sees none).
         a2 = system.params.a2
-        channels = []
-        self.forced_modes = []
-        for n in range(1, N + 1):
-            if n <= disturbance.driven_mode_count:
-                col = np.zeros(self.dim)
-                col[N + n - 1] = a2
-                channels.append(col)
-                self.forced_modes.append(n)
-        for j, k in enumerate(self.block.modes):
-            if k <= disturbance.driven_mode_count:
-                col = np.zeros(self.dim)
-                col[4 * N + R + j] = a2
-                channels.append(col)
-                self.forced_modes.append(int(k))
-        noise_col = np.zeros(self.dim)
-        noise_col[2 * N : 4 * N] = self.L
-        channels.append(noise_col)
-        self.rk4 = RK4(M, np.column_stack(channels), self.dt)
+        driven = disturbance.driven_mode_count
+        retained = range(1, min(N, driven) + 1)
+        residual = [int(k) for k in self.block.modes if k <= driven]
+        self.forced_modes = [*retained, *residual]
+        self.retained_forced = len(retained)
+        G = np.zeros((self.dim, len(self.forced_modes) + 1))
+        for j, n in enumerate(retained):
+            G[[N + n - 1, 3 * N + n - 1], j] = a2
+        for j, k in enumerate(residual, len(retained)):
+            G[3 * N + R + k - 1, j] = a2
+        G[e, -1] = -self.L
+        self.rk4 = RK4(M, G, self.dt)
 
     def channel_values(self, times):
         """Channel value matrix c(t) for an array of times."""
@@ -277,6 +285,7 @@ class CoupledDynamics:
         return self.rk4.step(x, c)
 
     def initial_state(self, config):
+        """X(0) = [z0, z0 - z_hat0, residual0]."""
         N, R = self.N, self.R
         x = np.zeros(self.dim)
         if config.z0 is not None:
@@ -288,11 +297,12 @@ class CoupledDynamics:
             rng = np.random.default_rng(config.seed)
             v = rng.standard_normal(2 * N)
             x[: 2 * N] = v / np.linalg.norm(v)
+        x[2 * N : 4 * N] = x[: 2 * N]
         if config.z_hat0 is not None:
             zh = np.asarray(config.z_hat0, dtype=float)
             if zh.shape != (2 * N,):
                 raise ConfigError(f"z_hat0 must have shape (2N,) = ({2*N},)")
-            x[2 * N : 4 * N] = zh
+            x[2 * N : 4 * N] -= zh
         if config.residual0 is not None:
             zr = np.asarray(config.residual0, dtype=float)
             if zr.shape != (2 * R,):
@@ -301,28 +311,10 @@ class CoupledDynamics:
         return x
 
 
-def _resolve(system, gains, disturbance, noise, config):
-    block = residual_block(
-        system.params, system.placement, system.N,
-        config.residual_modes, system.damping_model,
-    )
-    cap = stability_cap(system, gains, block)
-    dt = config.dt if config.dt is not None else 0.5 * cap
-    if math.isfinite(cap) and dt > cap * (1.0 + 1e-9):
-        raise ConfigError(
-            f"dt = {dt:.3e} exceeds the stability cap {cap:.3e} for this "
-            "closed loop; reduce dt or leave it unset"
-        )
-    if noise.hold is None:
-        noise = replace(noise, hold=10.0 * dt)
-    return dt, noise
-
-
 def simulate(system, gains, disturbance, noise, config):
     """Integrate the coupled system over [0, t_final] and collect histories."""
-    dt, noise = _resolve(system, gains, disturbance, noise, config)
-    dyn = CoupledDynamics(system, gains, disturbance, noise, dt, config)
-    N, R = dyn.N, dyn.R
+    dyn = CoupledDynamics(system, gains, disturbance, noise, config)
+    N, dt = dyn.N, dyn.dt
 
     if config.t_final == 0.0:
         n_steps = 0
@@ -334,11 +326,13 @@ def simulate(system, gains, disturbance, noise, config):
     X[0] = dyn.initial_state(config)
 
     # channel values on the half-step grid: stage times of step i are
-    # 2i, 2i+1, 2i+2
+    # 2i, 2i+1, 2i+2, so t[i] == half_times[2i]
     half_times = np.arange(2 * n_steps + 1) * (dt / 2.0)
     c = dyn.channel_values(half_times)
     dyn.rk4.run(X, c)
-    xi = c[::2, -1].copy()   # the noise channel; t[i] == half_times[2i]
+    xi = c[::2, -1].copy()   # the noise channel
+    force_sup = system.params.a2 * float(np.max(np.linalg.norm(
+        c[::2, : dyn.retained_forced], axis=1)))
     del c, half_times        # freed before the post-processing temporaries
     for i0 in range(1, n_steps + 1, CHUNK_ROWS):
         finite = np.isfinite(X[i0 : i0 + CHUNK_ROWS]).all(axis=1)
@@ -347,21 +341,19 @@ def simulate(system, gains, disturbance, noise, config):
             raise DivergenceError(step, step * dt)
 
     z = X[:, : 2 * N]
-    z_hat = X[:, 2 * N : 4 * N]
+    e = X[:, 2 * N : 4 * N]
     res = X[:, 4 * N :]
-    e = z - z_hat
+    z_hat = z - e
     V = -(z_hat @ dyn.K)
-    r = res @ dyn.block.C if R > 0 else np.zeros(n_steps + 1)
-    y = z @ system.C + r + xi
+    y = z @ system.C + res @ dyn.block.C + xi
 
     return SimulationResult(
         t=t, z=z, z_hat=z_hat, e=e, residual=res, V=V, y=y,
         norm_e=np.linalg.norm(e, axis=1),
         norm_z=np.linalg.norm(z, axis=1),
-        norm_residual=(np.linalg.norm(res, axis=1) if R > 0
-                       else np.zeros(n_steps + 1)),
-        dt=dt, system=system, gains=gains,
-        disturbance=disturbance, noise=noise, config=config,
+        norm_residual=np.linalg.norm(res, axis=1),
+        force_sup=force_sup, dt=dt, system=system, gains=gains,
+        disturbance=disturbance, noise=dyn.noise, config=config,
     )
 
 

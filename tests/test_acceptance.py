@@ -21,7 +21,7 @@ from piezobeam.cli import main
 from piezobeam.config import resolve_config
 from piezobeam.modal import Placement, assemble, static_gain
 from piezobeam.signals import NoiseSpec, build_disturbance, constant_disturbance
-from piezobeam.simulate import SimConfig, closed_loop_matrix, simulate
+from piezobeam.simulate import CoupledDynamics, SimConfig, simulate
 from piezobeam.synthesis import (
     GainSet,
     ZERO_TOL,
@@ -171,7 +171,9 @@ def test_criterion_3_round_trip():
                 worst_place = max(worst_place, rel)
                 assert rel < 1e-6, (N, rel)
             gains = GainSet.from_matrices(system, K, L)
-            loop = closed_loop_matrix(system, gains)
+            loop = CoupledDynamics(
+                system, gains, build_disturbance([]), NoiseSpec(bound=0.0),
+                SimConfig(t_final=0.0)).M[:4 * N, :4 * N]
             got = np.sort_complex(np.linalg.eigvals(loop))
             want = np.sort_complex(np.concatenate([tgt_K, tgt_L]))
             rel = float(np.max(np.abs(got - want) / np.abs(want)))

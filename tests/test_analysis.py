@@ -218,6 +218,30 @@ def test_metrics_fig_run():
     assert m.steady_band > m.steady_e
 
 
+def resynthesized_force_sup(res):
+    """sup_t a2 ||(f_1(t)..f_N(t))||, every force synthesized on res.t."""
+    from piezobeam.signals import modal_force
+    f = np.stack([res.system.params.a2 * modal_force(res.disturbance, n, res.t)
+                  for n in range(1, res.system.N + 1)])
+    return float(np.max(np.linalg.norm(f, axis=0)))
+
+
+@pytest.mark.parametrize("driven", [0, 2, 3, 6])
+def test_force_sup_matches_resynthesized_forces(driven):
+    # driven = 2: fewer forced modes than N; 6: residual modes forced too,
+    # which the retained force norm leaves out
+    params = BeamParams.dimensionless(a1=0.01, a2=0.7)
+    system = assemble(params, 3, PATCH)
+    dist = (polyharmonic_disturbance(params, driven_modes=driven)
+            if driven else build_disturbance([]))
+    cfg = SimConfig(t_final=0.3, dt=2.5e-4, residual_modes=4, seed=7)
+    res = simulate(system, fig_gains(system), dist,
+                   NoiseSpec(bound=0.01, seed=3), cfg)
+    assert res.force_sup == pytest.approx(resynthesized_force_sup(res),
+                                          rel=1e-14, abs=0)
+    assert (res.force_sup > 0.0) == (driven > 0)
+
+
 def test_simulated_error_within_kappa_qualified_bound():
     res = run_fig()
     gains = res.gains

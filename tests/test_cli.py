@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,55 @@ def test_sweep_command(tmp_path, capsys):
 def test_sweep_requires_section(tmp_path, capsys):
     path = write_config(tmp_path, {"preset": "fig1", **fast_sim_overrides()})
     assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("parameter, values", [
+    ("patch", [0.3]),
+    ("patch", [[0.0, 0.1], [0.2]]),
+    ("patch", [["a", 0.1]]),
+    ("patch", [[0.3, 0.1]]),
+    ("x0", ["abc"]),
+    ("x0", [[0.5]]),
+    ("x0", [True]),
+    ("x0", [1.5]),
+    ("x0", 0.3),
+])
+def test_malformed_sweep_values_are_config_errors(tmp_path, capsys,
+                                                  parameter, values):
+    path = write_config(tmp_path, {
+        "preset": "fig1", **fast_sim_overrides(),
+        "sweep": {"parameter": parameter, "values": values},
+    })
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "sweep.values" in capsys.readouterr().err
+    assert not (tmp_path / "fig1_sweep.csv").exists()
+
+
+def test_patch_sweep_runs(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "preset": "fig1",
+        "gains": {"lambda_grid": [6.0, 10.0], "lambda_L": 34.0},
+        "sim": {"t_final": 2.5, "dt": 5e-4, "residual_modes": 0},
+        "sweep": {"parameter": "patch", "values": [[0.0, 0.1], [0, 0.2]]},
+    })
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "fig1_sweep.csv").read_text().splitlines()
+    assert [line.split(",")[1:3] for line in rows[1:]] == \
+        [["0", "0.1"], ["0", "0.2"]]
+
+
+def test_full_coupling_fig1_refused_with_the_coupled_cap(tmp_path, capsys):
+    # control spillover on 5 residual modes makes the fig1 loop unstable;
+    # its coupled spectrum caps dt below the preset's 2.5e-4
+    path = write_config(tmp_path, {"preset": "fig1",
+                                   "sim": {"coupling": "full"}})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    cap = float(re.search(r"stability cap (\S+) ", err).group(1))
+    max_re = float(re.search(r"max Re eig\(M\) = ([^)]+)\)", err).group(1))
+    assert cap == pytest.approx(1.01e-4, rel=5e-3)
+    assert max_re == pytest.approx(2.37, rel=5e-3)
+    assert not (tmp_path / "fig1_timeseries.csv").exists()
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

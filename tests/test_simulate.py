@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 import warnings
@@ -19,10 +20,8 @@ from piezobeam.simulate import (
     CoupledDynamics,
     Coupling,
     SimConfig,
-    closed_loop_matrix,
     simulate,
     simulate_residual_mode,
-    stability_cap,
 )
 from piezobeam.synthesis import (
     GainSet,
@@ -99,7 +98,7 @@ def test_step_matches_textbook_rk4():
     dist = polyharmonic_disturbance(PARAMS, driven_modes=3)
     noise = NoiseSpec(bound=0.02, seed=6, hold=0.01)
     cfg = SimConfig(t_final=1.0, dt=3e-4, residual_modes=1, seed=3)
-    dyn = CoupledDynamics(system, gains, dist, noise, 3e-4, cfg)
+    dyn = CoupledDynamics(system, gains, dist, noise, cfg)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(dyn.dim)
 
@@ -138,10 +137,10 @@ def test_simulate_matches_sequential_steps(n):
     dt = 2.5e-4
     cfg = SimConfig(t_final=n * dt, dt=dt, residual_modes=2, seed=3)
     res = simulate(system, gains, dist, noise, cfg)
-    X = np.concatenate([res.z, res.z_hat, res.residual], axis=1)
+    X = np.concatenate([res.z, res.e, res.residual], axis=1)
     assert X.shape == (n + 1, 12)
 
-    dyn = CoupledDynamics(system, gains, dist, noise, dt, cfg)
+    dyn = CoupledDynamics(system, gains, dist, noise, cfg)
     expect = np.empty_like(X)
     expect[0] = dyn.initial_state(cfg)
     for i in range(n):
@@ -157,7 +156,7 @@ def test_stored_error_identity():
     res = simulate(system, fig_gains(system),
                    polyharmonic_disturbance(PARAMS, driven_modes=2),
                    NoiseSpec(bound=0.01, seed=4, hold=0.01), cfg)
-    np.testing.assert_array_equal(res.e, res.z - res.z_hat)
+    np.testing.assert_array_equal(res.z_hat, res.z - res.e)
     assert np.all(np.isfinite(res.z))
     np.testing.assert_allclose(res.norm_e, np.linalg.norm(res.e, axis=1),
                                rtol=0, atol=0)
@@ -170,20 +169,102 @@ def test_stored_error_identity():
 def test_dt_above_cap_rejected():
     system = assemble(PARAMS, 3, PATCH)
     gains = fig_gains(system)
-    cap = stability_cap(system, gains)
+    cap = CoupledDynamics(system, gains, NO_FORCE, NO_NOISE,
+                          SimConfig(t_final=1.0)).cap
     with pytest.raises(ConfigError):
         simulate(system, gains, NO_FORCE, NO_NOISE,
                  SimConfig(t_final=1.0, dt=2.0 * cap))
 
 
+def block_cap_oracle(system, gains, block):
+    """The cap from eig(A - BK), eig(A - LC) and eig(A_res), block by block.
+
+    Under truncated coupling M is block upper-triangular, so this is the
+    cap of M's spectrum.  Each block's cap is the step rule applied to it.
+    """
+    from piezobeam.simulate import DT_IMAG_FACTOR, DT_REAL_FACTOR
+    blocks = [system.A - np.outer(system.B, gains.K),
+              system.A - np.outer(gains.L, system.C)] if gains else \
+        [system.A, system.A]
+    if block.R:
+        blocks.append(block.A)
+    caps = []
+    for A in blocks:
+        eigs = np.linalg.eigvals(A)
+        caps += [DT_REAL_FACTOR / np.max(np.abs(eigs.real)),
+                 DT_IMAG_FACTOR / np.max(np.abs(eigs.imag))]
+    return min(caps)
+
+
+@pytest.mark.parametrize("N, R, tuned, model", [
+    (3, 4, True, DampingModel.STRUCTURAL),
+    (3, 0, True, DampingModel.STRUCTURAL),
+    (2, 3, False, DampingModel.STRUCTURAL),
+    (3, 2, True, DampingModel.KELVIN_VOIGT),
+    (5, 6, True, DampingModel.STRUCTURAL),
+])
+def test_truncated_cap_is_the_min_over_blocks(N, R, tuned, model):
+    from piezobeam.modal import residual_block
+    system = assemble(PARAMS, N, PATCH, model)
+    gains = fig_gains(system) if tuned else None
+    cfg = SimConfig(t_final=0.1, residual_modes=R)
+    dyn = CoupledDynamics(system, gains, NO_FORCE, NO_NOISE, cfg)
+    want = block_cap_oracle(system, gains,
+                            residual_block(PARAMS, PATCH, N, R, model))
+    assert dyn.cap == pytest.approx(want, rel=1e-12, abs=0)
+    assert dyn.dt == 0.5 * dyn.cap
+
+
 def test_auto_dt_stays_below_cap():
+    from piezobeam.modal import residual_block
     system = assemble(PARAMS, 3, PATCH)
     gains = fig_gains(system)
     cfg = SimConfig(t_final=0.1, residual_modes=4)
     res = simulate(system, gains, NO_FORCE, NO_NOISE, cfg)
-    from piezobeam.modal import residual_block
     block = residual_block(PARAMS, PATCH, 3, 4)
-    assert res.dt <= stability_cap(system, gains, block)
+    assert res.dt <= block_cap_oracle(system, gains, block)
+
+
+def test_full_coupling_cap_comes_from_the_coupled_spectrum():
+    # the spillover couples the residual rows to (z, e): the cap and the
+    # verdict are those of M, not of its diagonal blocks
+    from piezobeam.modal import residual_block
+    system = assemble(PARAMS, 3, PATCH)
+    gains = fig_gains(system)
+    cfg = SimConfig(t_final=0.1, residual_modes=5, coupling=Coupling.FULL)
+    dyn = CoupledDynamics(system, gains, NO_FORCE, NO_NOISE, cfg)
+    assert np.max(dyn.spectrum.real) > 1.0
+    assert dyn.cap < 0.5 * block_cap_oracle(
+        system, gains, residual_block(PARAMS, PATCH, 3, 5))
+    with pytest.raises(ConfigError, match="max Re eig"):
+        simulate(system, gains, NO_FORCE, NO_NOISE,
+                 SimConfig(t_final=0.1, dt=1.5 * dyn.cap, residual_modes=5,
+                           coupling=Coupling.FULL))
+
+
+def test_one_residual_block_and_one_spectrum_per_run(monkeypatch):
+    # the package's ``simulate`` attribute is the function, not the module
+    sim = importlib.import_module("piezobeam.simulate")
+    calls = {"block": 0, "eigvals": []}
+    block_fn, eigvals_fn = sim.residual_block, np.linalg.eigvals
+
+    def counting_block(*args, **kwargs):
+        calls["block"] += 1
+        return block_fn(*args, **kwargs)
+
+    def counting_eigvals(a):
+        calls["eigvals"].append(np.shape(a))
+        return eigvals_fn(a)
+
+    system = assemble(PARAMS, 3, PATCH)
+    gains = fig_gains(system)
+    monkeypatch.setattr(sim, "residual_block", counting_block)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    res = simulate(system, gains, polyharmonic_disturbance(PARAMS),
+                   NoiseSpec(bound=0.01, seed=2),
+                   SimConfig(t_final=0.05, residual_modes=4, seed=1))
+    assert calls == {"block": 1, "eigvals": [(20, 20)]}
+    assert len(res.t) > 1
 
 
 def test_rk4_order_from_step_halving():
@@ -291,14 +372,14 @@ def test_divergence_step_matches_sequential_oracle():
     system = assemble(PARAMS, 2, PATCH)
     bad = unstable_gains(system)
     cfg = SimConfig(t_final=10.0, seed=1)
-    dt = 0.5 * stability_cap(system, bad)
+    dyn = CoupledDynamics(system, bad, NO_FORCE, NO_NOISE, cfg)
+    dt = dyn.dt
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as err:
             simulate(system, bad, NO_FORCE, NO_NOISE, cfg)
 
     n_steps = int(round(cfg.t_final / dt))
-    dyn = CoupledDynamics(system, bad, NO_FORCE, NO_NOISE, dt, cfg)
     x = dyn.initial_state(cfg)
     first_bad = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -313,12 +394,20 @@ def test_divergence_step_matches_sequential_oracle():
 
 
 # ---------------------------------------------------------------------------
-# closed-loop matrix
+# coupled operator
 # ---------------------------------------------------------------------------
+
+def closed_loop_block(system, gains):
+    """The (z, e) block M[:4N, :4N] of the coupled operator."""
+    n = 2 * system.N
+    cfg = SimConfig(t_final=0.0, residual_modes=2)
+    return CoupledDynamics(system, gains, NO_FORCE, NO_NOISE, cfg).M[:2 * n,
+                                                                     :2 * n]
+
 
 def test_closed_loop_matrix_zero_gains():
     system = assemble(PARAMS, 2, PATCH)
-    M = closed_loop_matrix(system, None)
+    M = closed_loop_block(system, None)
     np.testing.assert_array_equal(M[:4, :4], system.A)
     np.testing.assert_array_equal(M[4:, 4:], system.A)
     np.testing.assert_array_equal(M[:4, 4:], np.zeros((4, 4)))
@@ -327,7 +416,7 @@ def test_closed_loop_matrix_zero_gains():
 def test_closed_loop_matrix_structure_and_spectrum():
     system = assemble(PARAMS, 3, PATCH)
     gains = fig_gains(system)
-    M = closed_loop_matrix(system, gains)
+    M = closed_loop_block(system, gains)
     assert M.shape == (12, 12)
     BK = np.outer(system.B, gains.K)
     np.testing.assert_array_equal(M[:6, :6], system.A - BK)
@@ -357,12 +446,16 @@ def test_truncation_mode_residual_identical_across_gains():
 
 
 def test_full_coupling_feels_the_controller():
-    res_trunc = residual_setup(Coupling.TRUNCATED, "tuned")
-    res_full = residual_setup(Coupling.FULL, "tuned")
+    # the tuned full-coupling loop is unstable (max Re eig(M) = 2.71) with
+    # cap 1.53e-4: both sides run below it, and 2.5e-4 is refused
+    res_trunc = residual_setup(Coupling.TRUNCATED, "tuned", dt=1e-4)
+    res_full = residual_setup(Coupling.FULL, "tuned", dt=1e-4)
     assert not np.array_equal(res_trunc.residual, res_full.residual)
+    with pytest.raises(ConfigError):
+        residual_setup(Coupling.FULL, "tuned", dt=2.5e-4)
     # without control the two coupling modes coincide
-    res_trunc0 = residual_setup(Coupling.TRUNCATED, "none")
-    res_full0 = residual_setup(Coupling.FULL, "none")
+    res_trunc0 = residual_setup(Coupling.TRUNCATED, "none", dt=1e-4)
+    res_full0 = residual_setup(Coupling.FULL, "none", dt=1e-4)
     np.testing.assert_array_equal(res_trunc0.residual, res_full0.residual)
 
 
