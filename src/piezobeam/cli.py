@@ -74,23 +74,30 @@ def _chunk_text(chunk):
 def write_csv(path, header, rows):
     """Write rows of numbers/strings with deterministic formatting.
 
-    ``rows`` is iterated once and written a chunk of rows at a time.
+    A 2-D float array is written in slices of CSV_CHUNK_ROWS rows, each
+    through one %-format string; any other iterable of rows is iterated
+    once and written a chunk of rows at a time.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-            fh.write(_chunk_text(chunk))
+        if (isinstance(rows, np.ndarray) and rows.ndim == 2
+                and rows.dtype.kind == "f"):
+            line = _number_format(rows.shape[1])
+            for i0 in range(0, len(rows), CSV_CHUNK_ROWS):
+                block = rows[i0 : i0 + CSV_CHUNK_ROWS]
+                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        else:
+            rows = iter(rows)
+            while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+                fh.write(_chunk_text(chunk))
     return path
 
 
 def _timeseries_rows(result):
-    cols = (result.t, result.norm_e, result.norm_z, result.V, result.y,
-            result.norm_residual)
-    for i0 in range(0, len(result.t), CSV_CHUNK_ROWS):
-        yield from np.column_stack(
-            [c[i0 : i0 + CSV_CHUNK_ROWS] for c in cols]).tolist()
+    """The timeseries table, one row per step, as an (n+1) x 6 array."""
+    return np.column_stack([result.t, result.norm_e, result.norm_z, result.V,
+                            result.y, result.norm_residual])
 
 
 def cmd_check(config, out_dir):

@@ -15,6 +15,7 @@ fundamental resonance, observer rate 34 (fig2: 64).
 import copy
 import numbers
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -154,6 +155,24 @@ class ExperimentConfig:
         )
 
 
+@contextmanager
+def _coerced(where):
+    """Report a value of the wrong type or form under ``where`` as a
+    ConfigError: the one path by which a malformed value becomes exit 2."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:   # ConfigError included
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _vector(value):
+    """A YAML list of numbers as a 1-D float array."""
+    out = np.asarray(value, dtype=float)
+    if out.ndim != 1:
+        raise ValueError(f"{value!r} is not a list of numbers")
+    return out
+
+
 def _section(raw, name):
     value = raw[name]
     if not isinstance(value, dict):
@@ -166,16 +185,10 @@ def _build_params(sec):
         phys = sec["physical"]
         if not isinstance(phys, dict):
             raise ConfigError("beam.physical must be a mapping")
-        try:
+        with _coerced("beam.physical"):
             return nondimensionalize(PhysicalBeam(**phys))
-        except TypeError as exc:
-            raise ConfigError(f"beam.physical: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"beam.physical: {exc}") from None
-    try:
+    with _coerced("beam"):
         return BeamParams.dimensionless(a1=float(sec["a1"]), a2=float(sec["a2"]))
-    except ValueError as exc:
-        raise ConfigError(f"beam: {exc}") from None
 
 
 def _build_disturbance(sec, params):
@@ -241,7 +254,7 @@ def resolve_config(data):
     preset_name = data.pop("preset", None)
     merged = DEFAULTS
     if preset_name is not None:
-        if preset_name not in PRESETS:
+        if not isinstance(preset_name, str) or preset_name not in PRESETS:
             known = ", ".join(sorted(PRESETS))
             raise ConfigError(f"preset: unknown preset '{preset_name}' ({known})")
         merged = _merge(merged, PRESETS[preset_name])
@@ -249,29 +262,23 @@ def resolve_config(data):
 
     params = _build_params(_section(merged, "beam"))
 
-    try:
+    with _coerced("N"):
         N = int(merged["N"])
         if N < 1:
             raise ValueError(f"N must be >= 1, got {N}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"N: {exc}") from None
 
-    try:
-        placement = Placement(**{
-            k: float(v) for k, v in _section(merged, "placement").items()
-        })
-    except ValueError as exc:
-        raise ConfigError(f"placement: {exc}") from None
+    psec = _section(merged, "placement")
+    with _coerced("placement"):
+        placement = Placement(**{k: float(v) for k, v in psec.items()})
 
     damping = _enum(DampingModel, merged["damping"], "damping")
 
-    try:
-        disturbance = _build_disturbance(_section(merged, "disturbance"), params)
-    except ValueError as exc:
-        raise ConfigError(f"disturbance: {exc}") from None
+    dsec = _section(merged, "disturbance")
+    with _coerced("disturbance"):
+        disturbance = _build_disturbance(dsec, params)
 
     nsec = _section(merged, "noise")
-    try:
+    with _coerced("noise"):
         noise = NoiseSpec(
             bound=float(nsec["bound"]),
             seed=int(nsec["seed"]),
@@ -280,8 +287,6 @@ def resolve_config(data):
             frequency=float(nsec["frequency"]),
             phase=float(nsec["phase"]),
         )
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from None
 
     gsec = _section(merged, "gains")
     strategy = gsec["strategy"]
@@ -293,34 +298,33 @@ def resolve_config(data):
     if strategy == "explicit":
         if gsec["K"] is None or gsec["L"] is None:
             raise ConfigError("gains.K and gains.L required for strategy 'explicit'")
-        explicit_K = np.asarray(gsec["K"], dtype=float)
-        explicit_L = np.asarray(gsec["L"], dtype=float)
+        with _coerced("gains"):
+            explicit_K = _vector(gsec["K"])
+            explicit_L = _vector(gsec["L"])
         if explicit_K.shape != (2 * N,) or explicit_L.shape != (2 * N,):
             raise ConfigError(f"gains.K and gains.L must have length 2N = {2 * N}")
 
-    F_bound = gsec["F_bound"]
-    if F_bound is None:
-        F_bound = disturbance.force_vector_bound(N, params.a2)
-    eps_bound = gsec["eps_bound"]
-    if eps_bound is None:
-        eps_bound = noise.bound
+    with _coerced("gains"):
+        lambda_grid = _vector(gsec["lambda_grid"] or []).tolist()
+        lambda_L = None if gsec["lambda_L"] is None else float(gsec["lambda_L"])
+        F_bound = float(disturbance.force_vector_bound(N, params.a2)
+                        if gsec["F_bound"] is None else gsec["F_bound"])
+        eps_bound = float(noise.bound if gsec["eps_bound"] is None
+                          else gsec["eps_bound"])
 
     ssec = _section(merged, "sim")
-    try:
+    with _coerced("sim"):
         sim = SimConfig(
             t_final=float(ssec["t_final"]),
             dt=None if ssec["dt"] is None else float(ssec["dt"]),
             residual_modes=int(ssec["residual_modes"]),
             coupling=_enum(Coupling, ssec["coupling"], "sim.coupling"),
-            z0=None if ssec["z0"] is None else np.asarray(ssec["z0"], float),
-            z_hat0=(None if ssec["z_hat0"] is None
-                    else np.asarray(ssec["z_hat0"], float)),
+            z0=None if ssec["z0"] is None else _vector(ssec["z0"]),
+            z_hat0=None if ssec["z_hat0"] is None else _vector(ssec["z_hat0"]),
             residual0=(None if ssec["residual0"] is None
-                       else np.asarray(ssec["residual0"], float)),
+                       else _vector(ssec["residual0"])),
             seed=int(ssec["seed"]),
         )
-    except ConfigError as exc:
-        raise ConfigError(f"sim: {exc}") from None
 
     sweep = _section(merged, "sweep")
     if sweep["parameter"] is not None:
@@ -334,17 +338,19 @@ def resolve_config(data):
             sweep_placement(placement, sweep["parameter"], value)
 
     label = merged["label"] or preset_name or "run"
+    out_dir = _section(merged, "output")["dir"]
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"output.dir: {out_dir!r} is not a path")
 
     return ExperimentConfig(
         params=params, N=N, placement=placement, damping=damping,
         disturbance=disturbance, noise=noise,
         gain_strategy=strategy,
-        lambda_grid=[float(g) for g in (gsec["lambda_grid"] or [])],
-        lambda_L=None if gsec["lambda_L"] is None else float(gsec["lambda_L"]),
-        F_bound=float(F_bound), eps_bound=float(eps_bound),
+        lambda_grid=lambda_grid, lambda_L=lambda_L,
+        F_bound=F_bound, eps_bound=eps_bound,
         explicit_K=explicit_K, explicit_L=explicit_L,
         sim=sim,
-        out_dir=_section(merged, "output")["dir"],
+        out_dir=out_dir,
         label=str(label),
         sweep_parameter=sweep["parameter"],
         sweep_values=sweep["values"],

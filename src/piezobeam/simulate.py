@@ -31,6 +31,14 @@ with a constant matrix, so ``RK4.run`` evaluates it as a blocked scan: the
 forcing of every step in a few GEMMs, then blocks of b steps advanced side
 by side, with the block starts carried by R^b.  The coupled simulation and
 the single-mode residual runs share that engine.
+
+Both take their forcing on the uniform half-step grid from one kernel,
+``signals.cosine_sum_grid`` (angle addition: O(sqrt(count)) cos/sin calls
+per harmonic).  ``simulate`` synthesizes one table per distinct harmonic
+set, so modes driven by the same comb share it; the residual-mode runs take
+each chunk's forcing from it at the chunk's grid offset.  ``CoupledDynamics``
+``step`` and ``channel_values`` evaluate the forces pointwise through
+``modal_force``, the independent path the tests check the kernel against.
 """
 
 import math
@@ -41,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .modal import residual_block
-from .signals import modal_force, noise_samples
+from .signals import cosine_sum_grid, modal_force, noise_samples
 
 DT_REAL_FACTOR = 0.1      # dt <= 0.1 / max |Re lambda|
 DT_IMAG_FACTOR = 2 * math.pi / 20.0  # >= 20 steps per fastest period
@@ -326,14 +334,23 @@ def simulate(system, gains, disturbance, noise, config):
     X[0] = dyn.initial_state(config)
 
     # channel values on the half-step grid: stage times of step i are
-    # 2i, 2i+1, 2i+2, so t[i] == half_times[2i]
-    half_times = np.arange(2 * n_steps + 1) * (dt / 2.0)
-    c = dyn.channel_values(half_times)
+    # 2i, 2i+1, 2i+2, so t[i] == half_times[2i].  Modes with the same
+    # harmonics share one synthesized column.
+    count = 2 * n_steps + 1
+    c = np.empty((count, len(dyn.forced_modes) + 1))
+    columns = {}
+    for j, n in enumerate(dyn.forced_modes):
+        hs = tuple((h.amplitude, h.omega, h.phase)
+                   for h in disturbance.mode_harmonics[n - 1])
+        if hs not in columns:
+            columns[hs] = cosine_sum_grid(hs, dt / 2.0, count)
+        c[:, j] = columns[hs]
+    c[:, -1] = noise_samples(dyn.noise, np.arange(count) * (dt / 2.0))
     dyn.rk4.run(X, c)
     xi = c[::2, -1].copy()   # the noise channel
     force_sup = system.params.a2 * float(np.max(np.linalg.norm(
         c[::2, : dyn.retained_forced], axis=1)))
-    del c, half_times        # freed before the post-processing temporaries
+    del c, columns           # freed before the post-processing temporaries
     for i0 in range(1, n_steps + 1, CHUNK_ROWS):
         finite = np.isfinite(X[i0 : i0 + CHUNK_ROWS]).all(axis=1)
         if not finite.all():
@@ -387,7 +404,6 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
     if dt is None:
         dt = min(DT_IMAG_FACTOR / om_max / 2.0, DT_REAL_FACTOR / max(d, rate))
 
-    hs = [(float(a), float(om), float(ph)) for a, om, ph in harmonics]
     rk4 = RK4(np.array([[0.0, 1.0], [-s4, -d]]), np.array([[0.0], [params.a2]]),
               dt)
     n = int(round(t_final / dt))
@@ -397,10 +413,8 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
     sup_disp = 0.0
     for i0 in range(0, n, CHUNK_ROWS):
         i1 = min(i0 + CHUNK_ROWS, n)
-        half_times = np.arange(2 * i0, 2 * i1 + 1) * (dt / 2.0)
-        f = np.zeros((half_times.size, 1))
-        for a, om, ph in hs:
-            f[:, 0] += a * np.cos(om * half_times + ph)
+        f = cosine_sum_grid(harmonics, dt / 2.0, 2 * (i1 - i0) + 1,
+                            offset=2 * i0)[:, None]
         X[0] = x
         Xc = rk4.run(X[: i1 - i0 + 1], f)
         x = Xc[-1].copy()

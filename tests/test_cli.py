@@ -149,6 +149,31 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [
+    {"placement": {"x0": None}},
+    {"sim": {"t_final": "abc"}},
+    {"sim": {"z0": 5}},
+    {"gains": {"lambda_grid": "abc"}},
+    {"gains": {"lambda_grid": [1, "abc"]}},
+    {"gains": {"F_bound": "abc"}},
+    {"gains": {"strategy": "explicit", "K": ["a", 1, 2, 3, 4, 5],
+               "L": [1, 2, 3, 4, 5, 6]}},
+    {"disturbance": {"kind": "custom", "modes": 5}},
+    {"disturbance": {"kind": "custom", "modes": [[1, 2]]}},
+    {"disturbance": {"kind": "constant", "values": 3}},
+    {"beam": {"a1": None}},
+    {"noise": {"seed": None}},
+    {"preset": [1]},
+    {"output": {"dir": 5}},
+], ids=repr)
+def test_malformed_values_are_config_errors(tmp_path, capsys, data):
+    path = write_config(tmp_path, data)
+    assert main(["check", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
 def test_infeasible_placement_exit_code(tmp_path, capsys):
     # full-span patch kills mode 2: tuning cannot place poles
     path = write_config(tmp_path, {
@@ -320,13 +345,35 @@ def test_csv_bytes_match_reference_writer(tmp_path):
         "empty": (["x"], []),
     }
     for name, (header, rows) in tables.items():
-        consumed = []
-
-        def once(rows=rows):
-            for row in rows:
-                consumed.append(row)
-                yield row
-
-        path = write_csv(tmp_path / f"{name}.csv", header, once())
-        assert len(consumed) == len(rows), name
+        counted = CountingRows(rows)
+        path = write_csv(tmp_path / f"{name}.csv", header, counted)
+        assert counted.n == len(rows), name   # every row, iterated once
         assert path.read_bytes() == reference_csv(header, rows), name
+
+    # the numbers table as a 2-D float array, written in array slices, and
+    # the same array behind the counting iterable, as the benchmark tracer
+    # hands it over, which takes the row path
+    header, rows = tables["numbers"]
+    assert len(rows) == 2 * CSV_CHUNK_ROWS + 1
+    array = np.array(rows)
+    expect = reference_csv(header, rows)
+    assert write_csv(tmp_path / "array.csv", header,
+                     array).read_bytes() == expect
+    counted = CountingRows(array)
+    assert write_csv(tmp_path / "counted.csv", header,
+                     counted).read_bytes() == expect
+    assert counted.n == len(rows)
+
+
+class CountingRows:
+    """Iterable that counts the rows consumed from it, like the benchmark
+    tracer's ``_CountingRows``."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.n = 0
+
+    def __iter__(self):
+        for row in self.rows:
+            self.n += 1
+            yield row

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piezobeam.beam import BeamParams, damped_frequency
 from piezobeam.modal import Placement, residual_block
@@ -10,6 +12,7 @@ from piezobeam.signals import (
     NoiseWaveform,
     build_disturbance,
     constant_disturbance,
+    cosine_sum_grid,
     modal_force,
     noise_sample,
     noise_samples,
@@ -113,6 +116,66 @@ def test_declared_bound_never_exceeded_property():
             sup = np.max(np.abs(modal_force(spec, n, t)))
             assert sup <= spec.mode_bound(n) * (1 + 1e-12)
             assert sup <= spec.f_max * (1 + 1e-12)
+
+
+# grid counts around the kernel's split i = q B + r, B = isqrt(count):
+# 1, 2, 3, whole squares k^2 and the counts just below and above them
+GRID_COUNTS = st.one_of(
+    st.sampled_from([1, 2, 3]),
+    st.builds(lambda k, d: k * k + d, st.integers(2, 60),
+              st.sampled_from([-1, 0, 1])),
+)
+HARMONICS = st.lists(
+    st.tuples(st.floats(-10.0, 10.0),
+              st.one_of(st.just(0.0), st.floats(-500.0, 500.0)),
+              st.floats(-math.pi, math.pi)),
+    min_size=1, max_size=11,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(harmonics=HARMONICS, count=GRID_COUNTS,
+       offset=st.one_of(st.just(0), st.integers(1, 10**6)),
+       h=st.floats(1e-5, 1e-2))
+def test_cosine_sum_grid_matches_modal_force(harmonics, count, offset, h):
+    """The grid kernel against term-by-term ``modal_force`` on t_i = (o+i) h.
+
+    Both evaluate the same real function, so they differ by their rounding
+    errors, each a small multiple of the unit roundoff u = eps/2 per unit
+    of sum |a|:
+
+    - the angle w t + p: t = (o+i) h, the product and the sum round to
+      about 3 |w| t + |p| in both; the kernel's fine angle w r h adds
+      |w| r h < |w| t;
+    - cos and sin: about 1 each;
+    - the sums: the pointwise loop adds H <= 11 terms, the kernel's dot
+      product 2H, bounded by about 2H sqrt(2) over sum |a|.
+
+    With |p| <= pi that is under 7 |w| t_end + 60 in units of u, so
+    |delta| <= 64 eps (1 + max |w| t_end) sum |a| holds with margin.
+    """
+    spec = build_disturbance([harmonics])
+    got = cosine_sum_grid(harmonics, h, count, offset=offset)
+    want = modal_force(spec, 1, (offset + np.arange(count)) * h)
+    assert got.shape == (count,)
+    t_end = (offset + count - 1) * h
+    om_max = max(abs(om) for _, om, _ in harmonics)
+    bound = 64 * np.finfo(float).eps * (1.0 + om_max * t_end) * \
+        sum(abs(a) for a, _, _ in harmonics)
+    assert np.max(np.abs(got - want)) <= bound
+
+
+def test_cosine_sum_grid_empty_cases():
+    assert cosine_sum_grid([], 0.1, 5).tolist() == [0.0] * 5
+    assert cosine_sum_grid([(1.0, 2.0, 0.0)], 0.1, 0).shape == (0,)
+
+
+def test_cosine_sum_grid_constant_forces():
+    # omega = 0, as in constant_disturbance: a cos(p) on every grid point
+    spec = constant_disturbance([2.5])
+    hs = [(h.amplitude, h.omega, h.phase) for h in spec.mode_harmonics[0]]
+    np.testing.assert_array_equal(cosine_sum_grid(hs, 1e-3, 17, offset=40),
+                                  np.full(17, 2.5))
 
 
 # ---------------------------------------------------------------------------

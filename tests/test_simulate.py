@@ -15,6 +15,7 @@ from piezobeam.signals import (
     noise_samples,
     constant_disturbance,
     polyharmonic_disturbance,
+    tail_disturbance,
 )
 from piezobeam.simulate import (
     CoupledDynamics,
@@ -265,6 +266,29 @@ def test_one_residual_block_and_one_spectrum_per_run(monkeypatch):
                    SimConfig(t_final=0.05, residual_modes=4, seed=1))
     assert calls == {"block": 1, "eigvals": [(20, 20)]}
     assert len(res.t) > 1
+
+
+@pytest.mark.parametrize("kind, sizes", [("fig1", [11]), ("tail", [1, 1, 1])])
+def test_one_force_table_per_distinct_harmonic_set(monkeypatch, kind, sizes):
+    # fig1 drives modes 1-3 with the same comb: one synthesized table; the
+    # tail load drives each mode at its own frequency: one table each
+    sim = importlib.import_module("piezobeam.simulate")
+    calls = []
+    kernel = sim.cosine_sum_grid
+
+    def counting_kernel(harmonics, *args, **kwargs):
+        calls.append(len(harmonics))
+        return kernel(harmonics, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "cosine_sum_grid", counting_kernel)
+    system = assemble(PARAMS, 3, PATCH)
+    dist = (polyharmonic_disturbance(PARAMS) if kind == "fig1"
+            else tail_disturbance(PARAMS, 1.0, 3))
+    res = simulate(system, fig_gains(system), dist,
+                   NoiseSpec(bound=0.01, seed=2),
+                   SimConfig(t_final=0.05, dt=2.5e-4, residual_modes=5))
+    assert calls == sizes   # harmonics per synthesized table
+    assert np.all(np.isfinite(res.z))
 
 
 def test_rk4_order_from_step_halving():
