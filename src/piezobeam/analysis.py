@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .modal import DampingModel, damping_coefficients
+from .modal import DampingModel, mode_roots
 from .simulate import simulate_residual_mode
 from .synthesis import decay_rate, eigvec_condition
 
@@ -104,11 +104,15 @@ def residual_bounds(params, f0, N, K_max, damping_model=DampingModel.STRUCTURAL,
                     simulate_fit=True):
     """Residual bounds for modes N+1..K_max plus a simulated decay-fit.
 
-    Requires f0 >= 0 and K_max > N.  The decay exponent comes from fitting
-    log sup-amplitude against log k over RK4 runs of each residual mode
-    driven at its own damped frequency with amplitude f0; the structural
-    damping model makes that exponent approach -2.
+    Requires a1 > 0 (else ConfigError), f0 >= 0 and K_max > N.  The decay
+    exponent comes from fitting log sup-amplitude against log k over RK4
+    runs of each residual mode driven at its own damped frequency with
+    amplitude f0; the structural damping model makes that exponent
+    approach -2.
     """
+    if not params.a1 > 0.0:
+        raise ConfigError(f"beam.a1 must be > 0 for residual bounds "
+                          f"(they scale as 1 / a1), got {params.a1}")
     if f0 < 0.0:
         raise ValueError(f"f0 must be >= 0, got {f0}")
     if K_max <= N:
@@ -140,10 +144,9 @@ def residual_bounds(params, f0, N, K_max, damping_model=DampingModel.STRUCTURAL,
 
 
 def _damped_freq(params, k, model):
-    s2 = (k * math.pi) ** 2
-    d = float(damping_coefficients(params, np.array([k]), model)[0])
-    disc = 4.0 * s2 * s2 - d * d
-    return math.sqrt(disc) / 2.0 if disc > 0.0 else s2
+    """|Im| of mode k's slow root, or sigma_k^2 when it is overdamped."""
+    im = abs(float(mode_roots(params, [k], model)[0][0].imag))
+    return im if im > 0.0 else (k * math.pi) ** 2
 
 
 def damping_decay_rates(params, damping_model, k_range):
@@ -157,13 +160,7 @@ def damping_decay_rates(params, damping_model, k_range):
     ks = list(k_range)
     if not ks:
         raise ValueError("k_range must be nonempty")
-    out = []
-    for k in ks:
-        s2 = (k * math.pi) ** 2
-        d = float(damping_coefficients(params, np.array([k]), damping_model)[0])
-        disc = complex(d * d - 4.0 * s2 * s2) ** 0.5
-        out.append(float(((-d + disc) / 2.0).real))
-    return np.array(out)
+    return mode_roots(params, ks, damping_model)[0].real
 
 
 @dataclass

@@ -158,6 +158,9 @@ def cmd_bounds(config, out_dir):
     gains = config.build_gains(system)
     if gains is None:
         raise ConfigError("bounds require gains (strategy tune or explicit)")
+    K_max = config.N + max(config.sim.residual_modes, 1)
+    res = residual_bounds(config.params, config.disturbance.f_max, config.N,
+                          K_max, config.damping)
     report = build_bound_report(system, gains, config.F_bound,
                                 config.eps_bound)
     rows = [(name, getattr(report, name)) for name in (
@@ -169,9 +172,6 @@ def cmd_bounds(config, out_dir):
                      ["name", "value"], rows)
     print(f"wrote {path}")
 
-    K_max = config.N + max(config.sim.residual_modes, 1)
-    res = residual_bounds(config.params, config.disturbance.f_max, config.N,
-                          K_max, config.damping)
     rates_struct = damping_decay_rates(
         config.params, DampingModel.STRUCTURAL, res.modes)
     rates_kv = damping_decay_rates(

@@ -13,6 +13,7 @@ fundamental resonance, observer rate 34 (fig2: 64).
 """
 
 import copy
+import math
 import numbers
 import os
 from contextlib import contextmanager
@@ -173,6 +174,26 @@ def _vector(value):
     return out
 
 
+def _check_finite(value, where):
+    """Reject a value under ``where`` that reads as a NaN or infinite number
+    (YAML .nan/.inf, or text such as nan or 1e999), naming its key."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{where}.{key}" if where else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{where}[{i}]")
+    elif where not in ("label", "output.dir"):      # the free-text keys
+        try:
+            finite = math.isfinite(float(value))
+        except OverflowError:        # an integer beyond the float range
+            finite = False
+        except (TypeError, ValueError):
+            return                   # not a number: coercion reports it
+        if not finite:
+            raise ConfigError(f"{where}: {value!r} is not a finite number")
+
+
 def _section(raw, name):
     value = raw[name]
     if not isinstance(value, dict):
@@ -259,6 +280,7 @@ def resolve_config(data):
             raise ConfigError(f"preset: unknown preset '{preset_name}' ({known})")
         merged = _merge(merged, PRESETS[preset_name])
     merged = _merge(merged, data)
+    _check_finite(merged, "")
 
     params = _build_params(_section(merged, "beam"))
 

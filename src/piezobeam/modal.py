@@ -6,18 +6,20 @@ decoupled oscillators
     w_n'' + d_n w_n' + sigma_n^4 w_n = b_n V(t) + a2 f_n(t)
 
 with d_n = a1 sigma_n^2 (structural damping) or a1 sigma_n^4 (Kelvin-Voigt)
-and b_n = psi_n'(x2) - psi_n'(x1) from the patch edges.  Stacking the state
-z = [w_1..w_N, w_1'..w_N'] yields the 2N x 2N system assembled here; modes
-N+1..N+R form the uncontrolled residual block used for spillover studies.
+and b_n = psi_n'(x2) - psi_n'(x1) from the patch edges.  The oscillator is
+solved here only: ``mode_roots`` (per-mode roots) and ``oscillator_matrix``
+(its [[0, I], [-sigma^4, -d]] block).  One builder adds the patch and sensor
+rows to it for modes 1..N (``assemble``) and for the uncontrolled residual
+modes N+1..N+R of the spillover studies (``residual_block``).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .beam import SQRT2, cos_pi, mode_shape, sin_pi
+from .beam import SQRT2, cos_pi, sin_pi
 
 
 class DampingModel(Enum):
@@ -33,6 +35,36 @@ def damping_coefficients(params, modes, model=DampingModel.STRUCTURAL):
     if model is DampingModel.KELVIN_VOIGT:
         return params.a1 * s2**2
     raise ValueError(f"unknown damping model {model!r}")
+
+
+def _stiffness(modes):
+    """sigma_n^4 = (n pi)^4 per mode."""
+    return ((np.asarray(modes, dtype=float) * math.pi) ** 2) ** 2
+
+
+def mode_roots(params, modes, model=DampingModel.STRUCTURAL):
+    """(slow, fast) roots of lambda^2 + d_n lambda + sigma_n^4 = 0 per mode.
+
+    Complex arrays; slow has Im > 0 while underdamped and is nearer zero
+    when overdamped.  The overdamped slow root is sigma^4 / fast (Vieta):
+    (-d + sqrt(d^2 - 4 sigma^4)) / 2 cancels when d^2 >> sigma^4.
+    """
+    s4 = _stiffness(modes)
+    d = damping_coefficients(params, modes, model)
+    disc = np.sqrt((d * d - 4.0 * s4).astype(complex))
+    fast = (-d - disc) / 2.0
+    slow = np.where(disc.real > 0.0, s4 / fast, (-d + disc) / 2.0)
+    return slow, fast
+
+
+def oscillator_matrix(params, modes, model=DampingModel.STRUCTURAL):
+    """Block [[0, I], [-diag sigma^4, -diag d]] of the modes' oscillators."""
+    n = len(modes)
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, n:] = np.eye(n)
+    A[n:, :n] = -np.diag(_stiffness(modes))
+    A[n:, n:] = -np.diag(damping_coefficients(params, modes, model))
+    return A
 
 
 @dataclass(frozen=True)
@@ -95,11 +127,6 @@ class ModalSystem:
     def modes(self):
         return np.arange(1, self.N + 1)
 
-    @property
-    def sigma2(self):
-        """sigma_n^2 = (n pi)^2 for n = 1..N."""
-        return (self.modes * math.pi) ** 2
-
     def modal_energy(self, z):
         """Energy (1/2) sum(w_n'^2 + sigma_n^4 w_n^2) of state(s) z.
 
@@ -109,7 +136,7 @@ class ModalSystem:
         z = np.asarray(z, dtype=float)
         w = z[..., : self.N]
         wd = z[..., self.N :]
-        return 0.5 * (np.sum(wd**2, axis=-1) + np.sum(self.sigma2**2 * w**2, axis=-1))
+        return 0.5 * np.sum(wd**2 + _stiffness(self.modes) * w**2, axis=-1)
 
     def dissipation(self, z):
         """Instantaneous dissipation sum(d_n w_n'^2) >= 0 of state(s) z."""
@@ -119,26 +146,23 @@ class ModalSystem:
         return np.sum(d * wd**2, axis=-1)
 
 
+def _coupled_block(params, placement, modes, model):
+    """A, B, C of ``modes``: oscillators, patch gains, sensor mode shapes."""
+    A = oscillator_matrix(params, modes, model)
+    B = np.zeros(2 * len(modes))
+    B[len(modes):] = [actuator_gain(n, placement) for n in modes]
+    psi = SQRT2 * sin_pi(modes * placement.x0)
+    C = np.concatenate([placement.s1 * psi, placement.s2 * psi])
+    return A, B, C
+
+
 def assemble(params, N, placement, damping_model=DampingModel.STRUCTURAL):
     """Build the truncated modal system for modes 1..N."""
     if int(N) != N or N < 1:
         raise ValueError(f"mode count N must be a positive integer, got {N}")
     N = int(N)
-    modes = np.arange(1, N + 1)
-    s2 = (modes * math.pi) ** 2
-    d = damping_coefficients(params, modes, damping_model)
-
-    A = np.zeros((2 * N, 2 * N))
-    A[:N, N:] = np.eye(N)
-    A[N:, :N] = -np.diag(s2**2)
-    A[N:, N:] = -np.diag(d)
-
-    B = np.zeros(2 * N)
-    B[N:] = [actuator_gain(n, placement) for n in modes]
-
-    psi = SQRT2 * sin_pi(modes * placement.x0)
-    C = np.concatenate([placement.s1 * psi, placement.s2 * psi])
-
+    A, B, C = _coupled_block(params, placement, np.arange(1, N + 1),
+                             damping_model)
     return ModalSystem(
         N=N, A=A, B=B, C=C,
         params=params, placement=placement, damping_model=damping_model,
@@ -154,43 +178,17 @@ class ResidualBlock:
     stacked residual state to its contribution to the sensor reading.
     """
 
-    first_mode: int
     R: int
     modes: np.ndarray
-    sigma4: np.ndarray
-    damping: np.ndarray
-    gain: np.ndarray
-    params: "BeamParams"
-    placement: Placement
-    damping_model: DampingModel
-    A: np.ndarray = field(repr=False, default=None)
-    B: np.ndarray = field(repr=False, default=None)
-    C: np.ndarray = field(repr=False, default=None)
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
 
 
 def residual_block(params, placement, N, R, damping_model=DampingModel.STRUCTURAL):
     """Build the residual block for modes N+1..N+R (R = 0 gives empty arrays)."""
     if R < 0 or int(R) != R:
         raise ValueError(f"residual mode count R must be an integer >= 0, got {R}")
-    R = int(R)
-    modes = np.arange(N + 1, N + R + 1)
-    s2 = (modes * math.pi) ** 2
-    d = damping_coefficients(params, modes, damping_model)
-    gain = np.array([actuator_gain(k, placement) for k in modes])
-
-    A = np.zeros((2 * R, 2 * R))
-    A[:R, R:] = np.eye(R)
-    A[R:, :R] = -np.diag(s2**2)
-    A[R:, R:] = -np.diag(d)
-
-    B = np.zeros(2 * R)
-    B[R:] = gain
-
-    psi = np.array([mode_shape(k, placement.x0) for k in modes])
-    C = np.concatenate([placement.s1 * psi, placement.s2 * psi])
-
-    return ResidualBlock(
-        first_mode=N + 1, R=R, modes=modes, sigma4=s2**2, damping=d, gain=gain,
-        params=params, placement=placement, damping_model=damping_model,
-        A=A, B=B, C=C,
-    )
+    modes = np.arange(N + 1, N + int(R) + 1)
+    A, B, C = _coupled_block(params, placement, modes, damping_model)
+    return ResidualBlock(R=len(modes), modes=modes, A=A, B=B, C=C)

@@ -48,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .modal import residual_block
+from .modal import DampingModel, mode_roots, oscillator_matrix, residual_block
 from .signals import cosine_sum_grid, modal_force, noise_samples
 
 DT_REAL_FACTOR = 0.1      # dt <= 0.1 / max |Re lambda|
@@ -92,6 +92,8 @@ class SimConfig:
             raise ConfigError(
                 f"residual_modes must be >= 0, got {self.residual_modes}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -375,7 +377,8 @@ def simulate(system, gains, disturbance, noise, config):
 
 
 def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
-                           damping_model=None, settle_time=None):
+                           damping_model=DampingModel.STRUCTURAL,
+                           settle_time=None):
     """RK4 of a single uncontrolled mode; returns steady-state amplitude sups.
 
     Integrates w'' + d_k w' + sigma_k^4 w = a2 * sum_j A_j cos(om_j t + ph_j)
@@ -385,16 +388,12 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
     streamed through ``RK4.run`` in chunks of CHUNK_ROWS steps, so memory
     does not grow with it.
     """
-    from .modal import DampingModel, damping_coefficients
-
-    model = damping_model if damping_model is not None else DampingModel.STRUCTURAL
-    s2 = (k * math.pi) ** 2
-    s4 = s2 * s2
-    d = float(damping_coefficients(params, np.array([k]), model)[0])
+    M = oscillator_matrix(params, [k], damping_model)
+    d = -M[1, 1]
     if d <= 0.0:
         raise ValueError("residual-mode study requires positive damping")
-    rate = d / 2.0 if d * d < 4.0 * s4 else \
-        (d - math.sqrt(d * d - 4.0 * s4)) / 2.0
+    rate = -float(mode_roots(params, [k], damping_model)[0][0].real)
+    s2 = (k * math.pi) ** 2
     om_max = max((abs(om) for _, om, _ in harmonics), default=s2)
     om_max = max(om_max, s2)
     if settle_time is None:
@@ -404,8 +403,7 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
     if dt is None:
         dt = min(DT_IMAG_FACTOR / om_max / 2.0, DT_REAL_FACTOR / max(d, rate))
 
-    rk4 = RK4(np.array([[0.0, 1.0], [-s4, -d]]), np.array([[0.0], [params.a2]]),
-              dt)
+    rk4 = RK4(M, np.array([[0.0], [params.a2]]), dt)
     n = int(round(t_final / dt))
     X = np.empty((CHUNK_ROWS + 1, 2))
     x = np.zeros(2)

@@ -4,6 +4,9 @@ Observability/controllability of the truncated beam have closed-form tests:
 a mode n is invisible to the sensor iff sin(n pi x0) = 0 and unreachable by
 the patch iff cos(n pi x2) = cos(n pi x1).  ``check_placement`` runs those
 alongside a numeric PBH rank oracle and reports cheap per-mode diagnostics.
+The oracle takes the PBH rank (numeric, ``matrix_rank``) at each mode's
+closed-form roots (``modal.mode_roots``), so it stays independent of the
+closed-form verdict and charges each rank loss to its mode.
 
 Gains come from single-input pole placement.  The closed-loop spectrum can
 be assigned freely once the pair is controllable/observable; gains are then
@@ -12,7 +15,6 @@ error/state norm bounds (disturbance-plus-noise over decay rate), the
 practical compromise that keeps high-gain noise amplification in check.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,7 @@ from .errors import (
     SingularControllabilityError,
     UnstableMatrixError,
 )
+from .modal import mode_roots
 
 # Entries of B/C whose closed-form factor is below this (relative to the
 # sqrt(2) n pi scale) count as exact zeros of the placement test.
@@ -47,40 +50,21 @@ class PlacementVerdict:
         return self.observable and self.controllable
 
 
-def _mode_of_eigenvalue(system, lam):
-    """Index of the modal block whose root pair contains ``lam``.
-
-    The assembled A is block-modal, so every eigenvalue is a root of one
-    lambda^2 + d_n lambda + sigma_n^4 = 0; nearest-root matching stays
-    correct for overdamped modes too.
-    """
-    N = system.N
-    best = (math.inf, 0)
-    for i in range(N):
-        s4 = -system.A[N + i, i]
-        d = -system.A[N + i, N + i]
-        disc = complex(d * d - 4.0 * s4) ** 0.5
-        for root in ((-d + disc) / 2.0, (-d - disc) / 2.0):
-            dist = abs(lam - root)
-            if dist < best[0]:
-                best = (dist, i + 1)
-    return best[1]
-
-
 def _pbh_rank_ok(system, row_or_col, stacked_rows):
-    """PBH full-rank verdict per eigenvalue, via matrix_rank's default tol."""
+    """Modes whose PBH pencil loses rank (matrix_rank's tol) at their roots."""
     A = system.A
-    eigs = np.linalg.eigvals(A)
     n = A.shape[0]
+    roots = mode_roots(system.params, system.modes, system.damping_model)
     bad = set()
-    for lam in eigs:
-        pencil = lam * np.eye(n) - A
-        if stacked_rows:
-            M = np.vstack([pencil, row_or_col[None, :].astype(complex)])
-        else:
-            M = np.hstack([pencil, row_or_col[:, None].astype(complex)])
-        if np.linalg.matrix_rank(M) < n:
-            bad.add(_mode_of_eigenvalue(system, lam))
+    for mode, *pair in zip(system.modes, *roots):
+        for lam in pair:
+            pencil = lam * np.eye(n) - A
+            if stacked_rows:
+                M = np.vstack([pencil, row_or_col[None, :].astype(complex)])
+            else:
+                M = np.hstack([pencil, row_or_col[:, None].astype(complex)])
+            if np.linalg.matrix_rank(M) < n:
+                bad.add(int(mode))
     return bad
 
 
@@ -295,31 +279,31 @@ class GainSet:
         )
 
 
-def tune_gains(system, F_bound, eps_bound, lambda_grid, pole_pattern=None,
-               lambda_L=None):
+def tune_gains(system, F_bound, eps_bound, lambda_grid, lambda_L=None):
     """Pick (L, K) on a decay-rate grid by minimizing steady-state bounds.
 
     For each candidate lambda the observer targets come from
-    ``pole_pattern(A, lambda)`` (default ``radial_pole_targets``); the
-    selected lambda_L minimizes (F_bound + ||L|| eps_bound) / lambda over
-    the grid (first argmin wins).  Passing ``lambda_L`` pins the observer
-    rate instead of tuning it.  The controller then minimizes
-    (F_bound + ||B K|| * e_st) / lambda over grid values strictly below
-    lambda_L, with e_st the observer's steady bound.
+    ``radial_pole_targets(A, lambda)``; the selected lambda_L minimizes
+    (F_bound + ||L|| eps_bound) / lambda over the grid (first argmin wins).
+    Passing ``lambda_L`` pins the observer rate instead of tuning it.  The
+    controller then minimizes (F_bound + ||B K|| * e_st) / lambda over grid
+    values strictly below lambda_L, with e_st the observer's steady bound.
 
-    Raises NoFeasibleGainError for an empty grid or when no grid value lies
-    below lambda_L.
+    Raises NoFeasibleGainError for an empty grid, a decay rate <= 0 or
+    when no grid value lies below lambda_L.
     """
-    pattern = pole_pattern if pole_pattern is not None else radial_pole_targets
     grid = [float(g) for g in lambda_grid]
     if not grid and lambda_L is None:
         raise NoFeasibleGainError("lambda grid is empty")
     for g in grid:
         if g <= 0.0:
             raise NoFeasibleGainError(f"grid decay rates must be > 0, got {g}")
+    if lambda_L is not None and not lambda_L > 0.0:
+        raise NoFeasibleGainError(f"lambda_L must be > 0, got {lambda_L}")
 
     def observer_for(lam):
-        L = place_observer_poles(system.A, system.C, pattern(system.A, lam))
+        L = place_observer_poles(system.A, system.C,
+                                 radial_pole_targets(system.A, lam))
         return L, float(np.linalg.norm(L))
 
     if lambda_L is None:
@@ -345,7 +329,7 @@ def tune_gains(system, F_bound, eps_bound, lambda_grid, pole_pattern=None,
     B_norm = float(np.linalg.norm(system.B))
     best = None
     for lam in k_grid:
-        K = place_poles(system.A, system.B, pattern(system.A, lam))
+        K = place_poles(system.A, system.B, radial_pole_targets(system.A, lam))
         bound = (F_bound + B_norm * np.linalg.norm(K) * e_steady) / lam
         if best is None or bound < best[0] - 1e-15 * abs(best[0]):
             best = (bound, lam, K)

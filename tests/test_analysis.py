@@ -14,7 +14,7 @@ from piezobeam.analysis import (
 )
 from piezobeam.beam import BeamParams
 from piezobeam.errors import ConfigError
-from piezobeam.modal import DampingModel, Placement, assemble
+from piezobeam.modal import DampingModel, Placement, assemble, damping_coefficients
 from piezobeam.signals import NoiseSpec, build_disturbance, polyharmonic_disturbance
 from piezobeam.simulate import SimConfig, simulate
 from piezobeam.synthesis import eigvec_condition, tune_gains
@@ -151,6 +151,27 @@ def test_kelvin_voigt_rates_saturate():
     assert abs(rates[1] - rates[0]) / abs(rates[0]) < 0.05
     # slow root approaches -1/a1
     assert rates[1] == pytest.approx(-1.0 / 0.01, rel=0.05)
+
+
+@pytest.mark.parametrize("a1", [0.01, 0.5, 2.5])
+def test_overdamped_decay_rates_are_free_of_cancellation(a1):
+    # the slow root in the stable form 2 sigma^4 / (-d - sqrt(d^2 - 4 sigma^4));
+    # (-d + sqrt(d^2 - 4 sigma^4)) / 2 loses up to 5.7e-6 relative here
+    params = BeamParams.dimensionless(a1=a1)
+    checked = 0
+    for model in DampingModel:
+        modes = np.arange(1, 121)
+        d = damping_coefficients(params, modes, model)
+        s4 = (modes * math.pi) ** 4
+        over = d * d > 4.0 * s4
+        if not over.any():      # structural damping below a1 = 2
+            continue
+        rates = damping_decay_rates(params, model, modes[over])
+        for rate, dk, sk in zip(rates, d[over], s4[over]):
+            stable = 2.0 * sk / (-dk - math.sqrt(dk * dk - 4.0 * sk))
+            assert abs(rate - stable) <= 1e-14 * abs(stable)
+            checked += 1
+    assert checked >= 116
 
 
 def test_decay_rates_require_modes():

@@ -174,6 +174,38 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, data):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, data, flags, code, line", [
+    ("simulate", {"sim": {"t_final": math.nan}}, [], 2,
+     "config error: sim.t_final: nan is not a finite number"),
+    ("simulate", {"sim": {"t_final": math.inf}}, [], 2,
+     "config error: sim.t_final: inf is not a finite number"),
+    # unquoted nan is text in YAML, which float() reads as NaN
+    ("simulate", {"sim": {"t_final": "nan"}}, [], 2,
+     "config error: sim.t_final: 'nan' is not a finite number"),
+    ("simulate", {"sim": {"t_final": 10**400}}, [], 2,
+     "config error: sim.t_final: 1000"),
+    ("simulate", {}, ["--seed", "-1"], 2,
+     "config error: seed must be >= 0, got -1"),
+    ("simulate", {"sim": {"seed": -1}}, [], 2,
+     "config error: sim: seed must be >= 0, got -1"),
+    ("tune", {"gains": {"lambda_L": 0}}, [], 3,
+     "infeasible design: lambda_L must be > 0, got 0.0"),
+    ("bounds", {"beam": {"a1": 0}}, [], 2,
+     "config error: beam.a1 must be > 0"),
+], ids=["nan-t_final", "inf-t_final", "nan-text-t_final", "huge-int-t_final",
+        "seed-flag", "sim-seed", "lambda_L-zero", "bounds-a1-zero"])
+def test_bad_inputs_exit_with_their_documented_code(tmp_path, capsys, command,
+                                                    data, flags, code, line):
+    # each of these ended in a traceback (exit 1, "placement check failed")
+    path = write_config(tmp_path, {"preset": "fig1", **data})
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out), *flags]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(line)
+    assert "Traceback" not in err
+    assert not out.exists()     # refused before any artifact is written
+
+
 def test_infeasible_placement_exit_code(tmp_path, capsys):
     # full-span patch kills mode 2: tuning cannot place poles
     path = write_config(tmp_path, {

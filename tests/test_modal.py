@@ -9,6 +9,8 @@ from piezobeam.modal import (
     Placement,
     actuator_gain,
     assemble,
+    mode_roots,
+    oscillator_matrix,
     residual_block,
     static_gain,
 )
@@ -147,6 +149,44 @@ def test_zero_gain_rows_exact_at_dyadic_nodes():
 
 
 # ---------------------------------------------------------------------------
+# per-mode oscillator roots
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("a1", [0.0, 0.01, 2.0, 3.0])
+def test_mode_roots_match_continuous_eigenvalues(a1):
+    # structural damping: the roots are the beam operator's, in the same
+    # (+ sqrt, - sqrt) order; a1 = 2 is the critical double root
+    params = BeamParams.dimensionless(a1=a1)
+    modes = np.arange(1, 121)
+    slow, fast = mode_roots(params, modes)
+    for n, s, f in zip(modes, slow, fast):
+        plus, minus = continuous_eigenvalues(params, int(n))
+        assert abs(s - plus) <= 1e-14 * abs(plus)
+        assert abs(f - minus) <= 1e-14 * abs(minus)
+
+
+@pytest.mark.parametrize("model", list(DampingModel))
+@pytest.mark.parametrize("a1", [0.0, 0.01, 0.5, 2.5])
+def test_mode_roots_are_the_oscillator_spectrum(model, a1):
+    # eigvals is backward stable: each eigenvalue is within a few eps times
+    # ||A|| (critical damping is defective, sqrt(eps)-sensitive: left out)
+    params = BeamParams.dimensionless(a1=a1)
+    modes = np.arange(1, 31)
+    A = oscillator_matrix(params, modes, model)
+    want = np.sort_complex(np.linalg.eigvals(A))
+    got = np.sort_complex(np.concatenate(mode_roots(params, modes, model)))
+    tol = 8.0 * np.finfo(float).eps * np.linalg.norm(A, 2)
+    assert np.max(np.abs(got - want)) <= tol
+
+
+def test_oscillator_matrix_is_the_assembled_plant():
+    for model in DampingModel:
+        system = assemble(PARAMS, 4, PATCH, model)
+        assert np.array_equal(oscillator_matrix(PARAMS, system.modes, model),
+                              system.A)
+
+
+# ---------------------------------------------------------------------------
 # residual block
 # ---------------------------------------------------------------------------
 
@@ -158,17 +198,19 @@ def test_residual_block_empty():
 
 
 def test_residual_block_mode_four():
+    # A = [[0, 1], [-sigma_4^4, -d_4]], B = [0, b_4]
     block = residual_block(PARAMS, PATCH, N=3, R=1)
-    assert block.first_mode == 4
     assert block.modes.tolist() == [4]
-    assert block.sigma4[0] == pytest.approx(256 * math.pi**4, rel=1e-14)
-    assert block.damping[0] == pytest.approx(0.16 * math.pi**2, rel=1e-14)
-    assert block.gain[0] == pytest.approx(actuator_gain(4, PATCH), rel=1e-14)
+    assert block.A[0].tolist() == [0.0, 1.0]
+    assert -block.A[1, 0] == pytest.approx(256 * math.pi**4, rel=1e-14)
+    assert -block.A[1, 1] == pytest.approx(0.16 * math.pi**2, rel=1e-14)
+    assert block.B[0] == 0.0
+    assert block.B[1] == pytest.approx(actuator_gain(4, PATCH), rel=1e-14)
 
 
 def test_residual_block_kelvin_voigt():
     block = residual_block(PARAMS, PATCH, N=3, R=1, damping_model=DampingModel.KELVIN_VOIGT)
-    assert block.damping[0] == pytest.approx(0.01 * 256 * math.pi**4, rel=1e-14)
+    assert -block.A[1, 1] == pytest.approx(0.01 * 256 * math.pi**4, rel=1e-14)
 
 
 def test_residual_block_rejects_negative_R():
