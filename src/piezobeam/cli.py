@@ -23,7 +23,7 @@ from .analysis import (
     performance_metrics,
     residual_bounds,
 )
-from .config import load_config, resolve_out_dir, sweep_placement
+from .config import load_config, resolve_out_dir
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -195,16 +195,11 @@ def cmd_bounds(config, out_dir):
     return EXIT_OK
 
 
-def _sweep_placements(config):
-    if config.sweep_parameter is None:
-        raise ConfigError("sweep requires a 'sweep' section with parameter/values")
-    for value in config.sweep_values:
-        yield sweep_placement(config.placement, config.sweep_parameter, value)
-
-
 def cmd_sweep(config, out_dir):
+    if config.sweep_placements is None:
+        raise ConfigError("sweep requires a 'sweep' section with parameter/values")
     rows = []
-    for placement in _sweep_placements(config):
+    for placement in config.sweep_placements:
         system = assemble(config.params, config.N, placement, config.damping)
         gains = config.build_gains(system)
         result = simulate(system, gains, config.disturbance, config.noise,

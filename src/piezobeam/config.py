@@ -1,9 +1,17 @@
-"""YAML experiment configuration: schema, presets, validation, builders.
+"""YAML experiment configuration: the key table, presets and builders.
 
-A config file is a mapping with the sections below; every key is optional
-and falls back first to the named ``preset`` (if any), then to the package
-defaults.  Unknown keys raise ConfigError naming the key, as do invariant
-violations, so a typo cannot silently change an experiment.
+``KEYS`` is the one schema: dotted key -> (kind, default[, (low, high)]).
+``resolve_config`` flattens the named ``preset`` and the file into dotted
+keys over the defaults and coerces each value once by its kind: an unknown
+key, the wrong kind, a NaN or infinite number and a value out of range are
+ConfigErrors naming the key, so a typo cannot silently change an
+experiment.  It then builds the typed records, whose constructors keep
+their own checks.
+
+Kinds: "float" (finite), "int" (whole, kept exact), "bool", "text", "list"
+(of finite numbers, as an array), "mapping" (of finite numbers), "items"
+(a list for a builder), or the admissible words, as a tuple or an Enum.
+A trailing "?", or None among the words, admits null.
 
 Bundled presets fig1..fig7 cover the standard demonstration scenarios:
 N = 3 (fig7: N = 5), dimensionless damping a1 = 0.01, patch at (0, 0.1)
@@ -12,12 +20,11 @@ N = 3 (fig7: N = 5), dimensionless damping a1 = 0.01, patch at (0, 0.1)
 fundamental resonance, observer rate 34 (fig2: 64).
 """
 
-import copy
 import math
-import numbers
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from math import inf
 
 import numpy as np
 import yaml
@@ -38,54 +45,67 @@ from .synthesis import GainSet, tune_gains
 
 OUTPUT_DIR_ENV = "PIEZOBEAM_OUT"
 
-DEFAULTS = {
-    "label": None,
-    "beam": {"a1": 0.01, "a2": 1.0, "physical": None},
-    "N": 3,
-    "placement": {"x1": 0.0, "x2": 0.1, "x0": 0.095, "s1": 0.0, "s2": 1.0},
-    "damping": "structural",
-    "disturbance": {
-        "kind": "polyharmonic",
-        "driven_modes": 3,
-        "harmonics": 11,
-        "bound": None,      # polyharmonic falls back to 11
-        "resonance": True,
-        "modes": None,      # kind: custom
-        "values": None,     # kind: constant
-        "f0": None,         # kind: tail
-        "tail_modes": None,
-        "regime": "uniform",
-    },
-    "noise": {
-        "bound": 0.01,
-        "seed": 1234,
-        "waveform": "uniform_hold",
-        "hold": None,
-        "frequency": 25.0,
-        "phase": 0.0,
-    },
-    "gains": {
-        "strategy": "tune",
-        "lambda_grid": [6.0, 10.0, 14.0, 18.0, 24.0, 30.0],
-        "lambda_L": 34.0,
-        "F_bound": None,
-        "eps_bound": None,
-        "K": None,
-        "L": None,
-    },
-    "sim": {
-        "t_final": 12.0,
-        "dt": 2.5e-4,
-        "residual_modes": 5,
-        "coupling": "truncated",
-        "seed": 7,
-        "z0": None,
-        "z_hat0": None,
-        "residual0": None,
-    },
-    "output": {"dir": None},
-    "sweep": {"parameter": None, "values": None},
+# Ranges bound what no constructor checks.  Each admits every preset and
+# benchmark config; a value above one used to overflow or to run unbounded.
+KEYS = {
+    "label": ("text?", None),
+    # a1 > 2 already overdamps every structural mode; near 1e160 d^2
+    # overflows the PBH pencils
+    "beam.a1": ("float", 0.01, (-inf, 1e3)),
+    # every force, F_bound and residual bound scale with a2; 1e308 overflows
+    "beam.a2": ("float", 1.0, (-inf, 1e6)),
+    "beam.physical": ("mapping?", None),
+    # check's PBH oracle grows as N^4 (about 1.4 s at N = 60)
+    "N": ("int", 3, (1, 60)),
+    "placement.x1": ("float", 0.0),
+    "placement.x2": ("float", 0.1),
+    "placement.x0": ("float", 0.095),
+    # sensor weights scale C; by 1e100 the PBH oracle misreads observability
+    "placement.s1": ("float", 0.0, (-1e6, 1e6)),
+    "placement.s2": ("float", 1.0, (-1e6, 1e6)),
+    "damping": (DampingModel, "structural"),
+    "disturbance.kind": (("polyharmonic", "custom", "constant", "tail"),
+                         "polyharmonic"),
+    # modes past N + residual_modes (at most 260) are never driven
+    "disturbance.driven_modes": ("int", 3, (0, 260)),
+    # each driven mode stores its own comb of this many cosines
+    "disturbance.harmonics": ("int", 11, (0, 100)),
+    "disturbance.bound": ("float?", None),   # polyharmonic: None means 11
+    "disturbance.resonance": ("bool", True),
+    "disturbance.modes": ("items?", None),   # kind: custom
+    "disturbance.values": ("list?", None),   # kind: constant
+    "disturbance.f0": ("float?", None),      # kind: tail
+    "disturbance.tail_modes": ("int?", None, (0, 260)),   # as driven_modes
+    "disturbance.regime": (("uniform", "smooth"), "uniform"),
+    "noise.bound": ("float", 0.01),
+    "noise.seed": ("int", 1234),
+    "noise.waveform": (NoiseWaveform, "uniform_hold"),
+    "noise.hold": ("float?", None),
+    "noise.frequency": ("float", 25.0),
+    "noise.phase": ("float", 0.0),
+    "gains.strategy": (("tune", "explicit", "none"), "tune"),
+    "gains.lambda_grid": ("list?", [6.0, 10.0, 14.0, 18.0, 24.0, 30.0]),
+    "gains.lambda_L": ("float?", 34.0),
+    "gains.F_bound": ("float?", None),
+    "gains.eps_bound": ("float?", None),
+    "gains.K": ("list?", None),
+    "gains.L": ("list?", None),
+    "sim.t_final": ("float", 12.0),
+    "sim.dt": ("float?", 2.5e-4),
+    # M has 4N + 2R dense rows, decomposed once per run
+    "sim.residual_modes": ("int", 5, (-inf, 200)),
+    "sim.coupling": (Coupling, "truncated"),
+    "sim.seed": ("int", 7),
+    "sim.z0": ("list?", None),
+    "sim.z_hat0": ("list?", None),
+    "sim.residual0": ("list?", None),
+    "output.dir": ("text?", None),
+    "sweep.parameter": (("x0", "patch", None), None),
+    "sweep.values": ("items?", None),
 }
+_SECTIONS = {}      # section -> the names of its keys within it
+for _section, _, _name in (key.partition(".") for key in KEYS if "." in key):
+    _SECTIONS.setdefault(_section, []).append(_name)
 
 PRESETS = {
     # sensor at the patch edge, observer rate 34
@@ -103,18 +123,84 @@ PRESETS = {
 }
 
 
-def _merge(base, override, path=""):
-    """Deep-merge ``override`` into ``base``; unknown keys are errors."""
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else str(key)
-        if key not in base:
-            raise ConfigError(f"unknown config key '{where}'")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, where)
+def _number(value, key):
+    """A finite float from a number or numeric text (YAML's nan is text)."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = float(value)
+    except OverflowError:           # an integer beyond the float range
+        number = inf
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: {value!r} is not a number") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: {value!r} is not a finite number")
+    return number
+
+
+def _whole(value, key):
+    """An int, exact when given one; a float only when it is whole."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _number(value, key)
+    if not number.is_integer():
+        raise ConfigError(f"{key}: {value!r} is not a whole number")
+    return int(number)
+
+
+_TYPES = {"bool": bool, "text": str, "list": list, "items": list, "mapping": dict}
+
+
+def _coerce(key, value):
+    """``value`` of ``key`` coerced by its kind and checked against its range."""
+    kind, _, *limits = KEYS[key]
+    if not isinstance(kind, str):            # words, as a tuple or an Enum
+        words = [getattr(w, "value", w) for w in kind]
+        if value not in words:
+            words = ", ".join(w for w in words if w is not None)
+            raise ConfigError(f"{key}: {value!r} is not one of {words}")
+        return kind(value) if isinstance(kind, type) else value
+    if value is None and kind.endswith("?"):
+        return None
+    kind = kind.rstrip("?")
+    if not isinstance(value, _TYPES.get(kind, object)):
+        raise ConfigError(f"{key}: {value!r} is not of kind {kind}")
+    coerced = value                         # bool, text and items as they are
+    if kind == "float":
+        coerced = _number(value, key)
+    elif kind == "int":
+        coerced = _whole(value, key)
+    elif kind == "list":
+        coerced = np.array([_number(x, f"{key}[{i}]")
+                            for i, x in enumerate(value)])
+    elif kind == "mapping":
+        coerced = {name: _number(x, f"{key}.{name}")
+                   for name, x in value.items()}
+    if limits and not limits[0][0] <= coerced <= limits[0][1]:
+        low, high = limits[0]
+        raise ConfigError(f"{key}: {value!r} is outside [{low:g}, {high:g}]")
+    return coerced
+
+
+def _fields(v, section):
+    """The coerced values of one section, keyed by their names within it."""
+    return {name: v[f"{section}.{name}"] for name in _SECTIONS[section]}
+
+
+def _flatten(data, into):
+    """Overlay a config mapping on ``into`` as dotted keys."""
+    for name, value in data.items():
+        if name in KEYS:
+            into[name] = value
+        elif name not in _SECTIONS:
+            raise ConfigError(f"unknown config key '{name}'")
+        elif not isinstance(value, dict):
+            raise ConfigError(f"section '{name}' must be a mapping")
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            for sub, item in value.items():
+                if f"{name}.{sub}" not in KEYS:
+                    raise ConfigError(f"unknown config key '{name}.{sub}'")
+                into[f"{name}.{sub}"] = item
 
 
 @dataclass
@@ -127,256 +213,138 @@ class ExperimentConfig:
     damping: DampingModel
     disturbance: object
     noise: NoiseSpec
-    gain_strategy: str
-    lambda_grid: list
+    gains: dict     # the coerced gains section, read by build_gains
     lambda_L: float
     F_bound: float
     eps_bound: float
-    explicit_K: np.ndarray
-    explicit_L: np.ndarray
     sim: SimConfig
     out_dir: str
     label: str
-    sweep_parameter: str
-    sweep_values: list
-    resolved: dict = field(repr=False, default=None)
+    sweep_placements: list      # one Placement per sweep point, or None
 
     def build_system(self):
         return assemble(self.params, self.N, self.placement, self.damping)
 
     def build_gains(self, system):
         """GainSet per the configured strategy; None for strategy 'none'."""
-        if self.gain_strategy == "none":
+        if self.gains["strategy"] == "none":
             return None
-        if self.gain_strategy == "explicit":
-            return GainSet.from_matrices(system, self.explicit_K, self.explicit_L)
+        if self.gains["strategy"] == "explicit":
+            return GainSet.from_matrices(system, self.gains["K"], self.gains["L"])
         return tune_gains(
-            system, self.F_bound, self.eps_bound, self.lambda_grid,
+            system, self.F_bound, self.eps_bound, self.gains["lambda_grid"],
             lambda_L=self.lambda_L,
         )
 
 
 @contextmanager
 def _coerced(where):
-    """Report a value of the wrong type or form under ``where`` as a
-    ConfigError: the one path by which a malformed value becomes exit 2."""
+    """Report a builder's refusal or overflow under ``where`` as a ConfigError:
+    the one path by which a value the table admits can still exit 2."""
     try:
         yield
-    except (TypeError, ValueError) as exc:   # ConfigError included
+    except (TypeError, ValueError, ArithmeticError) as exc:  # ConfigError too
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _vector(value):
-    """A YAML list of numbers as a 1-D float array."""
-    out = np.asarray(value, dtype=float)
-    if out.ndim != 1:
-        raise ValueError(f"{value!r} is not a list of numbers")
-    return out
+def _build_params(v):
+    if not v["beam.physical"]:
+        with _coerced("beam"):
+            return BeamParams.dimensionless(a1=v["beam.a1"], a2=v["beam.a2"])
+    with _coerced("beam.physical"):
+        params = nondimensionalize(PhysicalBeam(**v["beam.physical"]))
+    for name in ("a1", "a2"):     # the derived values obey the same ranges
+        _coerce(f"beam.{name}", getattr(params, name))
+    return params
 
 
-def _check_finite(value, where):
-    """Reject a value under ``where`` that reads as a NaN or infinite number
-    (YAML .nan/.inf, or text such as nan or 1e999), naming its key."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{where}.{key}" if where else str(key))
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            _check_finite(item, f"{where}[{i}]")
-    elif where not in ("label", "output.dir"):      # the free-text keys
-        try:
-            finite = math.isfinite(float(value))
-        except OverflowError:        # an integer beyond the float range
-            finite = False
-        except (TypeError, ValueError):
-            return                   # not a number: coercion reports it
-        if not finite:
-            raise ConfigError(f"{where}: {value!r} is not a finite number")
-
-
-def _section(raw, name):
-    value = raw[name]
-    if not isinstance(value, dict):
-        raise ConfigError(f"section '{name}' must be a mapping")
-    return value
-
-
-def _build_params(sec):
-    if sec.get("physical"):
-        phys = sec["physical"]
-        if not isinstance(phys, dict):
-            raise ConfigError("beam.physical must be a mapping")
-        with _coerced("beam.physical"):
-            return nondimensionalize(PhysicalBeam(**phys))
-    with _coerced("beam"):
-        return BeamParams.dimensionless(a1=float(sec["a1"]), a2=float(sec["a2"]))
-
-
-def _build_disturbance(sec, params):
-    kind = sec["kind"]
-    if kind == "polyharmonic":
-        bound = 11.0 if sec["bound"] is None else float(sec["bound"])
+def _build_disturbance(d, params):
+    if d["kind"] == "polyharmonic":
         return polyharmonic_disturbance(
-            params,
-            driven_modes=int(sec["driven_modes"]),
-            count=int(sec["harmonics"]),
-            bound=bound,
-            resonance=bool(sec["resonance"]),
+            params, driven_modes=d["driven_modes"], count=d["harmonics"],
+            bound=11.0 if d["bound"] is None else d["bound"],
+            resonance=d["resonance"],
         )
-    if kind == "custom":
-        if not sec.get("modes"):
-            raise ConfigError("disturbance.modes required for kind 'custom'")
-        return build_disturbance(sec["modes"], bound=sec.get("bound"))
-    if kind == "constant":
-        if sec.get("values") is None:
-            raise ConfigError("disturbance.values required for kind 'constant'")
-        return constant_disturbance([float(v) for v in sec["values"]])
-    if kind == "tail":
-        if sec.get("f0") is None or sec.get("tail_modes") is None:
-            raise ConfigError(
-                "disturbance.f0 and disturbance.tail_modes required for kind 'tail'"
-            )
-        return tail_disturbance(
-            params, float(sec["f0"]), int(sec["tail_modes"]), sec["regime"]
-        )
-    raise ConfigError(f"disturbance.kind: unknown kind '{kind}'")
+    needs = {"custom": ["modes"], "constant": ["values"],
+             "tail": ["f0", "tail_modes"]}[d["kind"]]
+    if any(d[name] is None for name in needs):
+        needs = " and ".join(f"disturbance.{name}" for name in needs)
+        raise ConfigError(f"{needs} required for kind '{d['kind']}'")
+    if d["kind"] == "custom":
+        return build_disturbance(d["modes"], bound=d["bound"])
+    if d["kind"] == "constant":
+        return constant_disturbance(d["values"])
+    return tail_disturbance(params, d["f0"], d["tail_modes"], d["regime"])
 
 
-def _enum(cls, value, where):
-    try:
-        return cls(value)
-    except ValueError:
-        options = ", ".join(m.value for m in cls)
-        raise ConfigError(f"{where}: '{value}' is not one of {options}") from None
-
-
-def sweep_placement(base, parameter, value):
+def _sweep_placement(base, parameter, value):
     """Placement of one sweep point: ``base`` with x0 or [x1, x2] replaced."""
     names = ("x0",) if parameter == "x0" else ("x1", "x2")
     values = [value] if parameter == "x0" else value
-    if not (isinstance(values, (list, tuple)) and len(values) == len(names)
-            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    for v in values)):
-        what = "a number" if parameter == "x0" else "an [x1, x2] pair of numbers"
-        raise ConfigError(f"sweep.values: {value!r} is not {what}")
-    try:
-        return replace(base, **{k: float(v) for k, v in zip(names, values)})
-    except ValueError as exc:
-        raise ConfigError(f"sweep.values: {exc}") from None
+    if not isinstance(values, (list, tuple)) or len(values) != len(names):
+        raise ConfigError(f"sweep.values: {value!r} is not an [x1, x2] pair")
+    values = [_number(x, "sweep.values") for x in values]
+    with _coerced("sweep.values"):
+        return replace(base, **dict(zip(names, values)))
 
 
 def resolve_config(data):
-    """Merge (defaults <- preset <- user data) and build ExperimentConfig."""
+    """Overlay (defaults <- preset <- user data) and build ExperimentConfig."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     data = dict(data)
     preset_name = data.pop("preset", None)
-    merged = DEFAULTS
+    raw = {key: spec[1] for key, spec in KEYS.items()}
     if preset_name is not None:
         if not isinstance(preset_name, str) or preset_name not in PRESETS:
             known = ", ".join(sorted(PRESETS))
             raise ConfigError(f"preset: unknown preset '{preset_name}' ({known})")
-        merged = _merge(merged, PRESETS[preset_name])
-    merged = _merge(merged, data)
-    _check_finite(merged, "")
+        _flatten(PRESETS[preset_name], raw)
+    _flatten(data, raw)
+    v = {key: _coerce(key, value) for key, value in raw.items()}
 
-    params = _build_params(_section(merged, "beam"))
-
-    with _coerced("N"):
-        N = int(merged["N"])
-        if N < 1:
-            raise ValueError(f"N must be >= 1, got {N}")
-
-    psec = _section(merged, "placement")
+    params = _build_params(v)
+    N = v["N"]
     with _coerced("placement"):
-        placement = Placement(**{k: float(v) for k, v in psec.items()})
-
-    damping = _enum(DampingModel, merged["damping"], "damping")
-
-    dsec = _section(merged, "disturbance")
+        placement = Placement(**_fields(v, "placement"))
     with _coerced("disturbance"):
-        disturbance = _build_disturbance(dsec, params)
-
-    nsec = _section(merged, "noise")
+        disturbance = _build_disturbance(_fields(v, "disturbance"), params)
     with _coerced("noise"):
-        noise = NoiseSpec(
-            bound=float(nsec["bound"]),
-            seed=int(nsec["seed"]),
-            waveform=_enum(NoiseWaveform, nsec["waveform"], "noise.waveform"),
-            hold=None if nsec["hold"] is None else float(nsec["hold"]),
-            frequency=float(nsec["frequency"]),
-            phase=float(nsec["phase"]),
-        )
-
-    gsec = _section(merged, "gains")
-    strategy = gsec["strategy"]
-    if strategy not in ("tune", "explicit", "none"):
-        raise ConfigError(
-            f"gains.strategy: '{strategy}' is not one of tune, explicit, none"
-        )
-    explicit_K = explicit_L = None
-    if strategy == "explicit":
-        if gsec["K"] is None or gsec["L"] is None:
-            raise ConfigError("gains.K and gains.L required for strategy 'explicit'")
-        with _coerced("gains"):
-            explicit_K = _vector(gsec["K"])
-            explicit_L = _vector(gsec["L"])
-        if explicit_K.shape != (2 * N,) or explicit_L.shape != (2 * N,):
-            raise ConfigError(f"gains.K and gains.L must have length 2N = {2 * N}")
-
-    with _coerced("gains"):
-        lambda_grid = _vector(gsec["lambda_grid"] or []).tolist()
-        lambda_L = None if gsec["lambda_L"] is None else float(gsec["lambda_L"])
-        F_bound = float(disturbance.force_vector_bound(N, params.a2)
-                        if gsec["F_bound"] is None else gsec["F_bound"])
-        eps_bound = float(noise.bound if gsec["eps_bound"] is None
-                          else gsec["eps_bound"])
-
-    ssec = _section(merged, "sim")
+        noise = NoiseSpec(**_fields(v, "noise"))
     with _coerced("sim"):
-        sim = SimConfig(
-            t_final=float(ssec["t_final"]),
-            dt=None if ssec["dt"] is None else float(ssec["dt"]),
-            residual_modes=int(ssec["residual_modes"]),
-            coupling=_enum(Coupling, ssec["coupling"], "sim.coupling"),
-            z0=None if ssec["z0"] is None else _vector(ssec["z0"]),
-            z_hat0=None if ssec["z_hat0"] is None else _vector(ssec["z_hat0"]),
-            residual0=(None if ssec["residual0"] is None
-                       else _vector(ssec["residual0"])),
-            seed=int(ssec["seed"]),
-        )
+        sim = SimConfig(**_fields(v, "sim"))
 
-    sweep = _section(merged, "sweep")
-    if sweep["parameter"] is not None:
-        if sweep["parameter"] not in ("x0", "patch"):
-            raise ConfigError(
-                f"sweep.parameter: '{sweep['parameter']}' is not one of x0, patch"
-            )
-        if not isinstance(sweep["values"], (list, tuple)) or not sweep["values"]:
+    gains = _fields(v, "gains")
+    K, L = gains["K"], gains["L"]
+    if gains["strategy"] == "explicit" and (K is None or L is None):
+        raise ConfigError("gains.K and gains.L required for strategy 'explicit'")
+    if gains["strategy"] == "explicit" and not K.shape == L.shape == (2 * N,):
+        raise ConfigError(f"gains.K and gains.L must have length 2N = {2 * N}")
+    if gains["lambda_grid"] is None:
+        gains["lambda_grid"] = []
+    F_bound, eps_bound = gains["F_bound"], gains["eps_bound"]
+    if F_bound is None:
+        F_bound = disturbance.force_vector_bound(N, params.a2)
+
+    sweep_placements = None
+    if v["sweep.parameter"] is not None:
+        if not v["sweep.values"]:
             raise ConfigError("sweep.values must be a nonempty list")
-        for value in sweep["values"]:
-            sweep_placement(placement, sweep["parameter"], value)
-
-    label = merged["label"] or preset_name or "run"
-    out_dir = _section(merged, "output")["dir"]
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"output.dir: {out_dir!r} is not a path")
+        sweep_placements = [_sweep_placement(placement, v["sweep.parameter"],
+                                             value) for value in v["sweep.values"]]
 
     return ExperimentConfig(
-        params=params, N=N, placement=placement, damping=damping,
-        disturbance=disturbance, noise=noise,
-        gain_strategy=strategy,
-        lambda_grid=lambda_grid, lambda_L=lambda_L,
-        F_bound=F_bound, eps_bound=eps_bound,
-        explicit_K=explicit_K, explicit_L=explicit_L,
+        params=params, N=N, placement=placement, damping=v["damping"],
+        disturbance=disturbance, noise=noise, gains=gains,
+        lambda_L=gains["lambda_L"],
+        F_bound=F_bound,
+        eps_bound=noise.bound if eps_bound is None else eps_bound,
         sim=sim,
-        out_dir=out_dir,
-        label=str(label),
-        sweep_parameter=sweep["parameter"],
-        sweep_values=sweep["values"],
-        resolved=merged,
+        out_dir=v["output.dir"],
+        label=v["label"] or preset_name or "run",
+        sweep_placements=sweep_placements,
     )
 
 

@@ -17,6 +17,10 @@ import numpy as np
 
 from .beam import damped_frequency
 
+# Largest declared per-mode force bound: F_bound sums the squares of the
+# per-mode bounds, which must stay far from overflow.
+MAX_FORCE_BOUND = 1e100
+
 
 @dataclass(frozen=True)
 class Harmonic:
@@ -39,6 +43,8 @@ class DisturbanceSpec:
     f_max: float
 
     def __post_init__(self):
+        if not self.f_max <= MAX_FORCE_BOUND:
+            raise ValueError(f"force bound {self.f_max} exceeds {MAX_FORCE_BOUND:g}")
         sums = [sum(abs(h.amplitude) for h in hs) for hs in self.mode_harmonics]
         worst = max(sums, default=0.0)
         if worst > self.f_max * (1.0 + 1e-12) and worst > 0.0:
@@ -84,6 +90,8 @@ def build_disturbance(mode_harmonics, bound=None):
         tuple((float(a), float(om), float(ph)) for a, om, ph in hs)
         for hs in mode_harmonics
     )
+    if not all(math.isfinite(x) for hs in raw for h in hs for x in h):
+        raise ValueError("harmonic terms must be finite numbers")
     if bound is None:
         bound = max(
             (sum(abs(a) for a, _, _ in hs) for hs in raw), default=0.0

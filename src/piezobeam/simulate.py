@@ -58,6 +58,10 @@ DT_IMAG_FACTOR = 2 * math.pi / 20.0  # >= 20 steps per fastest period
 # residual-mode runs: bounds the temporaries whatever the horizon.
 CHUNK_ROWS = 1 << 14
 
+# Most states (n + 1) x dim of one run: 128 MiB of floats, above 192k steps
+# at dim 22 and 40k steps at dim 200.
+MAX_HISTORY_VALUES = 1 << 24
+
 
 class Coupling(Enum):
     # residual modes unforced by the control path (truncation-exact design)
@@ -136,6 +140,19 @@ def stability_cap(spectrum):
     if im > 0.0:
         cap = min(cap, DT_IMAG_FACTOR / im)
     return cap
+
+
+def _step_count(t_final, dt, dim):
+    """Steps over [0, t_final]: round(t_final / dt), at least 1 unless
+    t_final = 0.  Refused before any allocation when the run's (n + 1) x dim
+    states would exceed MAX_HISTORY_VALUES."""
+    steps = t_final / dt                 # inf when it overflows
+    n = 0 if t_final == 0.0 else max(1, round(min(steps, MAX_HISTORY_VALUES)))
+    if (n + 1) * dim > MAX_HISTORY_VALUES:
+        raise ConfigError(
+            f"t_final = {t_final:g} at dt = {dt:.3e} takes {steps:.4g} steps; "
+            f"their {dim}-state history exceeds {MAX_HISTORY_VALUES} values")
+    return n
 
 
 class RK4:
@@ -326,10 +343,7 @@ def simulate(system, gains, disturbance, noise, config):
     dyn = CoupledDynamics(system, gains, disturbance, noise, config)
     N, dt = dyn.N, dyn.dt
 
-    if config.t_final == 0.0:
-        n_steps = 0
-    else:
-        n_steps = max(1, int(round(config.t_final / dt)))
+    n_steps = _step_count(config.t_final, dt, dyn.dim)
     t = np.arange(n_steps + 1) * dt
 
     X = np.empty((n_steps + 1, dyn.dim))
@@ -386,7 +400,7 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
     (default: 12 decay times).  Used by the spillover decay studies, where
     a 2-state run beats assembling a large coupled system.  The horizon is
     streamed through ``RK4.run`` in chunks of CHUNK_ROWS steps, so memory
-    does not grow with it.
+    does not grow with it; its step count has the same limit as a history.
     """
     M = oscillator_matrix(params, [k], damping_model)
     d = -M[1, 1]
@@ -404,7 +418,7 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
         dt = min(DT_IMAG_FACTOR / om_max / 2.0, DT_REAL_FACTOR / max(d, rate))
 
     rk4 = RK4(M, np.array([[0.0], [params.a2]]), dt)
-    n = int(round(t_final / dt))
+    n = _step_count(t_final, dt, 2)
     X = np.empty((CHUNK_ROWS + 1, 2))
     x = np.zeros(2)
     sup_state = 0.0

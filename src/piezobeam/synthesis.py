@@ -164,6 +164,7 @@ def _ackermann(A, B, targets):
     return last_row @ pA
 
 
+@np.errstate(over="ignore", invalid="ignore")    # a non-finite K is refused
 def place_poles(A, B, targets):
     """Single-input gain K with eig(A - B K) = targets.
 
@@ -176,6 +177,7 @@ def place_poles(A, B, targets):
     controllability-matrix route loses the required digits.  A vanishing
     b_i is exactly the PBH uncontrollability of mode i.  Falls back to
     Ackermann's formula if the open-loop spectrum is (near-)defective.
+    A gain that overflows raises SingularControllabilityError naming N.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).reshape(-1)
@@ -200,6 +202,10 @@ def place_poles(A, B, targets):
             den = bt[i] * np.prod(lam[i] - np.delete(lam, i))
             f[i] = num / den
         K = np.real(f @ np.linalg.inv(V))
+    if not np.isfinite(K).all():
+        raise SingularControllabilityError(
+            f"pole placement overflowed to a non-finite gain at N = {n // 2}"
+        )
     return K
 
 
@@ -210,7 +216,9 @@ def place_observer_poles(A, C, targets):
 
 
 def decay_rate(M):
-    """min |Re lambda| over the spectrum; requires a Hurwitz matrix."""
+    """min |Re lambda| over the spectrum; requires a finite Hurwitz matrix."""
+    if not np.isfinite(M).all():
+        raise UnstableMatrixError("matrix has non-finite entries")
     eigs = np.linalg.eigvals(M)
     worst = float(np.max(eigs.real))
     if worst >= 0.0:

@@ -216,6 +216,46 @@ def test_infeasible_placement_exit_code(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_overflowing_pole_placement_is_infeasible(tmp_path, capsys):
+    # the modal gain products overflow at N = 40; the infinite gain used to
+    # reach decay_rate's eigvals as a LinAlgError traceback
+    path = write_config(tmp_path, {
+        "N": 40, "placement": {"x2": 0.1037, "x0": 0.0951},
+    })
+    assert main(["tune", "--config", path, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible design: ")
+    assert "non-finite gain at N = 40" in err
+    assert not (tmp_path / "run_gains.csv").exists()
+
+
+@pytest.mark.parametrize("t_final, steps", [(1.0e308, "inf"),
+                                            (190.65, "7.626e+05")])
+def test_step_count_is_refused_before_allocation(tmp_path, capsys, t_final,
+                                                 steps):
+    # fig1 has 22 states; at dt = 2.5e-4, 190.65 is 762600 steps, whose
+    # (762600 + 1) x 22 history is just over 2^24 values.  1e308 used to
+    # end in an OverflowError traceback at int(round(t_final / dt)).
+    path = write_config(tmp_path, {"preset": "fig1",
+                                   "sim": {"t_final": t_final}})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: t_final = {t_final:g} at "
+                          f"dt = 2.500e-04 takes {steps} steps")
+    assert "-state history exceeds 16777216 values" in err
+    assert not (tmp_path / "fig1_timeseries.csv").exists()
+
+
+def test_residual_mode_runs_have_the_same_step_limit(tmp_path, capsys):
+    # at a1 = 1e-300 each residual mode of bounds would settle over 1.5e302
+    # steps: a run without end, now refused
+    path = write_config(tmp_path, {"preset": "fig1", "beam": {"a1": 1e-300}})
+    assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_final = ")
+    assert "steps; their 2-state history exceeds 16777216 values" in err
+
+
 def test_simulate_row_count_and_header(tmp_path, capsys):
     path = write_config(tmp_path, {"preset": "fig1", **fast_sim_overrides()})
     assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
