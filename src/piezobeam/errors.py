@@ -26,8 +26,9 @@ class UnstableMatrixError(RuntimeError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """Closed-form and numeric placement tests disagreed outside the
-    ill-conditioned band; indicates a bug rather than a bad input."""
+    """Closed-form placement factors and the per-mode Kalman determinants of
+    A, B, C disagreed outside the ill-conditioned band, or A couples two
+    modes; indicates a bug rather than a bad input."""
 
 
 class DivergenceError(RuntimeError):

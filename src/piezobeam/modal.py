@@ -88,8 +88,10 @@ class Placement:
             )
         if not (0.0 < self.x0 < 1.0):
             raise ValueError(f"sensor must satisfy 0 < x0 < 1, got {self.x0}")
-        if self.s1 == 0.0 and self.s2 == 0.0:
-            raise ValueError("sensor weights (s1, s2) must not both be zero")
+        # below the smallest normal float, s * psi_n underflows in C
+        if max(abs(self.s1), abs(self.s2)) < np.finfo(float).tiny:
+            raise ValueError("sensor weights (s1, s2) must not both be zero "
+                             f"or subnormal, got ({self.s1}, {self.s2})")
 
 
 def actuator_gain(n, placement):

@@ -3,10 +3,10 @@
 Observability/controllability of the truncated beam have closed-form tests:
 a mode n is invisible to the sensor iff sin(n pi x0) = 0 and unreachable by
 the patch iff cos(n pi x2) = cos(n pi x1).  ``check_placement`` runs those
-alongside a numeric PBH rank oracle and reports cheap per-mode diagnostics.
-The oracle takes the PBH rank (numeric, ``matrix_rank``) at each mode's
-closed-form roots (``modal.mode_roots``), so it stays independent of the
-closed-form verdict and charges each rank loss to its mode.
+alongside a numeric oracle and reports cheap per-mode diagnostics.  The
+oracle takes each mode's 2x2 Kalman determinants from the assembled A, B, C
+(``_block_factors``), so it stays independent of the closed-form verdict
+and charges each rank loss to its mode.
 
 Gains come from single-input pole placement.  The closed-loop spectrum can
 be assigned freely once the pair is controllable/observable; gains are then
@@ -26,14 +26,13 @@ from .errors import (
     SingularControllabilityError,
     UnstableMatrixError,
 )
-from .modal import mode_roots
 
 # Entries of B/C whose closed-form factor is below this (relative to the
 # sqrt(2) n pi scale) count as exact zeros of the placement test.
 ZERO_TOL = 1e-9
-# Band of factor magnitudes where closed-form and rank tests may genuinely
-# disagree due to conditioning; disagreements inside it downgrade to a
-# warning, outside it they raise InternalConsistencyError.
+# Band of factor magnitudes where closed-form and block tests may genuinely
+# disagree due to rounding; disagreements inside it downgrade to a warning,
+# outside it they raise InternalConsistencyError.
 ILL_COND_BAND = (1e-13, 1e-5)
 
 
@@ -50,32 +49,39 @@ class PlacementVerdict:
         return self.observable and self.controllable
 
 
-def _pbh_rank_ok(system, row_or_col, stacked_rows):
-    """Modes whose PBH pencil loses rank (matrix_rank's tol) at their roots."""
-    A = system.A
-    n = A.shape[0]
-    roots = mode_roots(system.params, system.modes, system.damping_model)
-    bad = set()
-    for mode, *pair in zip(system.modes, *roots):
-        for lam in pair:
-            pencil = lam * np.eye(n) - A
-            if stacked_rows:
-                M = np.vstack([pencil, row_or_col[None, :].astype(complex)])
-            else:
-                M = np.hstack([pencil, row_or_col[:, None].astype(complex)])
-            if np.linalg.matrix_rank(M) < n:
-                bad.add(int(mode))
-    return bad
+def _block_factors(system):
+    """Per-mode (observability, controllability) factors of A, B, C.
+
+    A must couple only each pair (w_n, w_n'); then det[C_n; C_n A_n] and
+    det[B_n, A_n B_n] decide mode n (Kalman).  Scaled by the block's own
+    d_n = -A_n[1, 1] and sigma_n^4 = -A_n[1, 0] they read as |sin(n pi x0)|
+    and |cos(n pi x2) - cos(n pi x1)|.  C is homogeneous in (s1, s2), so
+    both are divided by the larger weight.
+    """
+    N, A, pl = system.N, system.A, system.placement
+    if np.any(A[~np.tile(np.eye(N, dtype=bool), (2, 2))]):
+        raise InternalConsistencyError("A couples states of different modes")
+    a, b, c, d = (np.diag(A[r:r + N, k:k + N]) for r in (0, N) for k in (0, N))
+    scale = max(abs(pl.s1), abs(pl.s2))
+    s1, s2 = pl.s1 / scale, pl.s2 / scale
+    p, q = system.C[:N] / scale, system.C[N:] / scale
+    u, v = system.B[:N], system.B[N:]
+    det_obs = p * (p * b + q * d) - q * (p * a + q * c)
+    det_ctr = u * (c * u + d * v) - v * (a * u + b * v)
+    obs = np.sqrt(np.abs(det_obs) / (2 * (s1 * s1 - abs(s1 * s2) * d
+                                          - s2 * s2 * c)))
+    ctr = np.sqrt(np.abs(det_ctr) / (2 * np.sqrt(-c)))
+    return obs, ctr
 
 
-def check_placement(system, rank_test=True):
-    """Closed-form observability/controllability verdict with a PBH oracle.
+def check_placement(system):
+    """Closed-form observability/controllability verdict with a block oracle.
 
     The closed-form test flags mode n when |sin(n pi x0)| <= ZERO_TOL
     (sensor on a node) or |cos(n pi x2) - cos(n pi x1)| <= ZERO_TOL (patch
-    edges at equal slope influence).  With ``rank_test`` the numeric PBH
-    verdict must agree outside the ill-conditioned band, else
-    InternalConsistencyError is raised.
+    edges at equal slope influence).  The per-mode Kalman factors of the
+    assembled arrays (``_block_factors``) must agree outside the
+    ill-conditioned band, else InternalConsistencyError is raised.
     """
     pl = system.placement
     modes = system.modes
@@ -94,26 +100,20 @@ def check_placement(system, rank_test=True):
             f"mode {n}: patch gain cos({n} pi x2) - cos({n} pi x1) = 0"
         )
 
-    if rank_test:
-        pbh_obs_bad = _pbh_rank_ok(system, system.C, stacked_rows=True)
-        pbh_ctr_bad = _pbh_rank_ok(system, system.B, stacked_rows=False)
-        for label, closed, pbh, fac in (
-            ("observability", obs_bad, pbh_obs_bad, sin_fac),
-            ("controllability", ctr_bad, pbh_ctr_bad, cos_fac),
-        ):
-            for n in sorted(closed.symmetric_difference(pbh)):
-                mag = fac[n - 1]
-                lo, hi = ILL_COND_BAND
-                if lo < mag < hi:
-                    warnings.append(
-                        f"{label} of mode {n} is ill-conditioned "
-                        f"(factor {mag:.3e}); closed-form verdict used"
-                    )
-                else:
-                    raise InternalConsistencyError(
-                        f"closed-form and PBH {label} tests disagree on "
-                        f"mode {n} (factor {mag:.3e})"
-                    )
+    lo, hi = ILL_COND_BAND
+    for label, fac, oracle in zip(("observability", "controllability"),
+                                  (sin_fac, cos_fac), _block_factors(system)):
+        split = (fac <= ZERO_TOL) != (oracle <= ZERO_TOL)
+        for n, mag in zip(modes[split], fac[split]):
+            if not lo < mag < hi:
+                raise InternalConsistencyError(
+                    f"closed-form and block {label} tests disagree on "
+                    f"mode {n} (factor {mag:.3e})"
+                )
+            warnings.append(
+                f"{label} of mode {n} is ill-conditioned "
+                f"(factor {mag:.3e}); closed-form verdict used"
+            )
 
     return PlacementVerdict(
         observable=not obs_bad,
@@ -132,13 +132,14 @@ def _check_conjugate_symmetric(targets, n):
     targets = np.atleast_1d(np.asarray(targets, dtype=complex))
     if targets.shape != (n,):
         raise ValueError(f"expected {n} target poles, got {targets.shape}")
-    key = lambda z: (round(z.real, 9), round(abs(z.imag), 9))
-    plus = sorted((z for z in targets if z.imag > 1e-9), key=key)
-    minus = sorted((z for z in targets if z.imag < -1e-9), key=key)
+    halves = []
+    for side in (targets[targets.imag > 1e-9], targets[targets.imag < -1e-9]):
+        keys = np.round(side.real, 9), np.round(np.abs(side.imag), 9)
+        halves.append(side[np.lexsort(keys[::-1])])
+    plus, minus = halves
     scale = max(1.0, float(np.max(np.abs(targets))))
-    if len(plus) != len(minus) or any(
-        abs(p - q.conjugate()) > 1e-9 * scale for p, q in zip(plus, minus)
-    ):
+    if len(plus) != len(minus) or np.any(
+            np.abs(plus - minus.conj()) > 1e-9 * scale):
         raise ValueError("target poles must be closed under conjugation")
     return targets
 
@@ -171,13 +172,14 @@ def place_poles(A, B, targets):
     Solved in the eigenbasis of A: for distinct open-loop eigenvalues
     lambda_i and transformed input b_i, the modal gain is
 
-        f_i = prod_j (lambda_i - mu_j) / (b_i * prod_{j != i} (lambda_i - lambda_j))
+        f_i = (lambda_i - mu_i) / b_i
+              * prod_{j != i} (lambda_i - mu_j) / (lambda_i - lambda_j)
 
-    and K = Re(f V^-1).  This stays accurate for 2N <= 10 where the raw
-    controllability-matrix route loses the required digits.  A vanishing
-    b_i is exactly the PBH uncontrollability of mode i.  Falls back to
-    Ackermann's formula if the open-loop spectrum is (near-)defective.
-    A gain that overflows raises SingularControllabilityError naming N.
+    and K = Re(f V^-1).  Pairing mu with lambda in sorted (Im, Re) order keeps
+    each ratio near one, so f stays finite (placed to 1e-9 up to N = 60).
+    A vanishing b_i is exactly the PBH uncontrollability of mode i.  Falls
+    back to Ackermann's formula if the open-loop spectrum is (near-)defective.
+    A gain that still overflows raises SingularControllabilityError naming N.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).reshape(-1)
@@ -185,22 +187,23 @@ def place_poles(A, B, targets):
     targets = _check_conjugate_symmetric(targets, n)
 
     lam, V = np.linalg.eig(A)
-    gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(n)
+    den = lam[:, None] - lam[None, :] + 0j
+    gaps = np.abs(den) + np.eye(n)
     scale = max(1.0, float(np.max(np.abs(lam))))
     if np.min(gaps) < 1e-9 * scale:
         K = _ackermann(A, B, targets)
     else:
         bt = np.linalg.solve(V, B.astype(complex))
-        if np.any(np.abs(bt) < 1e-13 * max(np.max(np.abs(bt)), 1e-300)):
-            dead = [i for i in range(n) if abs(bt[i]) < 1e-13 * np.max(np.abs(bt))]
+        dead = np.abs(bt) < 1e-13 * max(np.max(np.abs(bt)), 1e-300)
+        if np.any(dead):
             raise SingularControllabilityError(
-                f"uncontrollable eigenvalue(s) {[lam[i] for i in dead]}"
+                f"uncontrollable eigenvalue(s) {list(lam[dead])}"
             )
-        f = np.empty(n, dtype=complex)
-        for i in range(n):
-            num = np.prod(lam[i] - targets)
-            den = bt[i] * np.prod(lam[i] - np.delete(lam, i))
-            f[i] = num / den
+        mu = np.empty(n, dtype=complex)
+        mu[np.lexsort((lam.real, lam.imag))] = targets[
+            np.lexsort((targets.real, targets.imag))]
+        np.fill_diagonal(den, bt)
+        f = np.prod((lam[:, None] - mu[None, :]) / den, axis=1)
         K = np.real(f @ np.linalg.inv(V))
     if not np.isfinite(K).all():
         raise SingularControllabilityError(
@@ -249,11 +252,8 @@ def radial_pole_targets(A, lam):
     N = n // 2
     # |Im| appears twice per mode; sort the flat array and take every other
     ims = np.sort(np.abs(eigs.imag))[::2]
-    targets = []
-    for i, im in enumerate(ims):
-        re = -lam * (1.0 + i / N)
-        targets += [complex(re, im), complex(re, -im)]
-    return np.array(targets)
+    re = -lam * (1.0 + np.arange(N) / N)
+    return np.column_stack([re + 1j * ims, re - 1j * ims]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +309,20 @@ def tune_gains(system, F_bound, eps_bound, lambda_grid, lambda_L=None):
     if lambda_L is not None and not lambda_L > 0.0:
         raise NoFeasibleGainError(f"lambda_L must be > 0, got {lambda_L}")
 
-    def observer_for(lam):
-        L = place_observer_poles(system.A, system.C,
-                                 radial_pole_targets(system.A, lam))
-        return L, float(np.linalg.norm(L))
-
-    if lambda_L is None:
+    def first_min(lams, place, vec, cost):
+        """(lam, gain) at the first minimum of (F_bound + cost(|gain|)) / lam."""
         best = None
-        for lam in grid:
-            L, L_norm = observer_for(lam)
-            bound = (F_bound + L_norm * eps_bound) / lam
+        for lam in lams:
+            gain = place(system.A, vec, radial_pole_targets(system.A, lam))
+            bound = (F_bound + cost(np.linalg.norm(gain))) / lam
             if best is None or bound < best[0] - 1e-15 * abs(best[0]):
-                best = (bound, lam, L)
-        _, lam_L_used, L = best
-    else:
-        lam_L_used = float(lambda_L)
-        L, _ = observer_for(lam_L_used)
+                best = (bound, lam, gain)
+        return best[1:]
 
-    L_norm = float(np.linalg.norm(L))
-    e_steady = (F_bound + L_norm * eps_bound) / lam_L_used
+    lam_L_used, L = first_min(grid if lambda_L is None else [float(lambda_L)],
+                              place_observer_poles, system.C,
+                              lambda norm: norm * eps_bound)
+    e_steady = (F_bound + np.linalg.norm(L) * eps_bound) / lam_L_used
 
     k_grid = [g for g in grid if g < lam_L_used]
     if not k_grid:
@@ -335,12 +330,6 @@ def tune_gains(system, F_bound, eps_bound, lambda_grid, lambda_L=None):
             f"no grid value below lambda_L = {lam_L_used} for the controller"
         )
     B_norm = float(np.linalg.norm(system.B))
-    best = None
-    for lam in k_grid:
-        K = place_poles(system.A, system.B, radial_pole_targets(system.A, lam))
-        bound = (F_bound + B_norm * np.linalg.norm(K) * e_steady) / lam
-        if best is None or bound < best[0] - 1e-15 * abs(best[0]):
-            best = (bound, lam, K)
-    _, _, K = best
-
+    _, K = first_min(k_grid, place_poles, system.B,
+                     lambda norm: B_norm * norm * e_steady)
     return GainSet.from_matrices(system, K, L)

@@ -19,13 +19,13 @@ from piezobeam.analysis import (
 from piezobeam.beam import BeamParams, continuous_eigenvalues
 from piezobeam.cli import main
 from piezobeam.config import resolve_config
-from piezobeam.modal import Placement, assemble, static_gain
+from piezobeam.modal import Placement, assemble, mode_roots, static_gain
 from piezobeam.signals import NoiseSpec, build_disturbance, constant_disturbance
 from piezobeam.simulate import CoupledDynamics, SimConfig, simulate
 from piezobeam.synthesis import (
     GainSet,
     ZERO_TOL,
-    _pbh_rank_ok,
+    _block_factors,
     check_placement,
     eigvec_condition,
     place_observer_poles,
@@ -92,6 +92,28 @@ def test_criterion_1_eigenstructure():
 # 2. placement verdicts
 # ---------------------------------------------------------------------------
 
+def _pbh_rank_ok(system, row_or_col, stacked_rows):
+    """Modes whose PBH pencil loses rank (matrix_rank's tol) at their roots.
+
+    The generic Hautus (1969) test, kept here as the reference for the
+    per-mode block oracle of ``check_placement``.
+    """
+    A = system.A
+    n = A.shape[0]
+    roots = mode_roots(system.params, system.modes, system.damping_model)
+    bad = set()
+    for mode, *pair in zip(system.modes, *roots):
+        for lam in pair:
+            pencil = lam * np.eye(n) - A
+            if stacked_rows:
+                M = np.vstack([pencil, row_or_col[None, :].astype(complex)])
+            else:
+                M = np.hstack([pencil, row_or_col[:, None].astype(complex)])
+            if np.linalg.matrix_rank(M) < n:
+                bad.add(int(mode))
+    return bad
+
+
 def test_criterion_2_placement_verdicts():
     start = time.perf_counter()
     N = 3
@@ -107,6 +129,9 @@ def test_criterion_2_placement_verdicts():
                   modes[np.abs(sin_pi(modes * x0)) <= ZERO_TOL]}
         pbh = _pbh_rank_ok(system, system.C, stacked_rows=True)
         assert closed == pbh, (x0, closed, pbh)
+        obs, _ = _block_factors(system)
+        block = {int(n) for n in modes[obs <= ZERO_TOL]}
+        assert closed == block, (x0, closed, block)
         checked += 1
     assert checked == 200
 
@@ -147,7 +172,7 @@ def random_placement(rng, N):
         x0 = rng.uniform(0.05, 0.95)
         pl = Placement(float(x1), float(x2), float(x0))
         system = assemble(PARAMS, N, pl)
-        if check_placement(system, rank_test=False).ok:
+        if check_placement(system).ok:
             return system
 
 

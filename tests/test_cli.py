@@ -10,6 +10,7 @@ from piezobeam.config import PRESETS, load_config, resolve_config
 from piezobeam.errors import ConfigError
 from piezobeam.signals import NoiseWaveform
 from piezobeam.simulate import Coupling
+from piezobeam.synthesis import radial_pole_targets
 
 
 def write_config(tmp_path, data, name="cfg.yaml"):
@@ -216,17 +217,52 @@ def test_infeasible_placement_exit_code(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
-def test_overflowing_pole_placement_is_infeasible(tmp_path, capsys):
-    # the modal gain products overflow at N = 40; the infinite gain used to
-    # reach decay_rate's eigvals as a LinAlgError traceback
-    path = write_config(tmp_path, {
-        "N": 40, "placement": {"x2": 0.1037, "x0": 0.0951},
-    })
-    assert main(["tune", "--config", path, "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("infeasible design: ")
-    assert "non-finite gain at N = 40" in err
-    assert not (tmp_path / "run_gains.csv").exists()
+@pytest.mark.parametrize("N", [40, 50, 60])
+def test_pole_placement_reaches_N_60(tmp_path, capsys, N):
+    # two separate products over 2N factors overflowed from N = 40 (exit 3,
+    # "non-finite gain"); paired ratios place both spectra to 1e-9
+    data = {"N": N, "placement": {"x2": 0.1037, "x0": 0.0951}}
+    path = write_config(tmp_path, data)
+    assert main(["tune", "--config", path, "--out", str(tmp_path)]) == 0
+    rows = dict(line.split(",") for line in
+                (tmp_path / "run_gains.csv").read_text().splitlines()[1:])
+    K = np.array([float(rows[f"K_{i}"]) for i in range(2 * N)])
+    L = np.array([float(rows[f"L_{i}"]) for i in range(2 * N)])
+    system = resolve_config(data).build_system()
+    for M, lam in ((system.A - np.outer(system.B, K), rows["lambda_K"]),
+                   (system.A - np.outer(L, system.C), rows["lambda_L"])):
+        want = np.sort_complex(radial_pole_targets(system.A, float(lam)))
+        got = np.sort_complex(np.linalg.eigvals(M))
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9
+
+
+@pytest.mark.parametrize("data, code, line", [
+    ({"damping": "kelvin_voigt", "beam": {"a1": 1000}}, 0,
+     "observable:   True"),
+    ({"N": 60, "placement": {"x2": 0.1037, "x0": 0.0951}}, 0,
+     "controllable: True"),
+    ({"N": 60, "damping": "kelvin_voigt", "beam": {"a1": 10}}, 1,
+     "offending modes: [20, 40, 60]"),
+], ids=["kv-a1-1000", "N60-patch", "N60-kv-a1-10"])
+def test_check_spans_many_decades(tmp_path, capsys, data, code, line):
+    # the PBH pencils' rank tolerance grew with a1 sigma^4 and N and raised
+    # InternalConsistencyError (exit 3) on each of these
+    path = write_config(tmp_path, {"preset": "fig1", **data})
+    assert main(["check", "--config", path]) == code
+    out, err = capsys.readouterr()
+    assert line in out.splitlines()
+    assert err == ""
+
+
+def test_subnormal_sensor_weights_are_config_errors(tmp_path, capsys):
+    # s * psi_n underflowed to a zero sensor row, which check reported as
+    # an internal inconsistency (exit 3)
+    path = write_config(tmp_path, {"placement": {"s1": 5e-324,
+                                                 "s2": 5e-324}})
+    assert main(["check", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: placement: sensor weights (s1, s2) must not both be "
+        "zero or subnormal")
 
 
 @pytest.mark.parametrize("t_final, steps", [(1.0e308, "inf"),

@@ -2,21 +2,25 @@
 no-traceback property test driven from the table through ``cli.main``."""
 
 import contextlib
+import importlib.util
 import io
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piezobeam.cli import main
-from piezobeam.config import KEYS, resolve_config
+from piezobeam.config import KEYS, PRESETS, load_config, resolve_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 COMMANDS = ("check", "tune", "simulate", "bounds", "sweep")
 
 
@@ -68,8 +72,7 @@ RANGED = [key for key in KEYS if upper(key) is not None]
 # ---------------------------------------------------------------------------
 
 def test_readme_config_block_matches_the_key_table():
-    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.S)
-    shown = flatten(yaml.safe_load(next(b for b in blocks if "beam:" in b)))
+    shown = flatten(yaml.safe_load(readme_config_block()))
     assert set(shown) == set(KEYS)
     examples = {"label", "disturbance.bound", "sweep.parameter",
                 "sweep.values"}
@@ -78,6 +81,60 @@ def test_readme_config_block_matches_the_key_table():
             assert value == KEYS[key][1], key
     # the examples are valid values
     resolve_config(nested(shown))
+
+
+# ---------------------------------------------------------------------------
+# libyaml and the pure-Python loader
+# ---------------------------------------------------------------------------
+
+def readme_config_block():
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.S)
+    return next(b for b in blocks if "beam:" in b)
+
+
+def workload_configs():
+    """One config of each benchmark workload (perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: yaml.safe_dump(module.job_configs(name, 1)[0][2])
+            for name in module.WORKLOADS}
+
+
+LOADER_CASES = {
+    **{name: f"preset: {name}\n" for name in PRESETS},
+    "readme": readme_config_block(),
+    **workload_configs(),
+}
+
+
+@pytest.mark.parametrize("text", LOADER_CASES.values(), ids=LOADER_CASES)
+def test_both_yaml_loaders_resolve_equal_configs(tmp_path, monkeypatch, text):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    fast = load_config(path)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    slow = load_config(path)
+    libyaml = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert (yaml.load(text, Loader=libyaml)
+            == yaml.load(text, Loader=yaml.SafeLoader))
+    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        assert repr(fast) == repr(slow)
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_malformed_yaml_is_a_parse_error(tmp_path, monkeypatch, libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "cfg.yaml"
+    path.write_text("N: [3\nplacement: {x0: 0.5\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", "--config", str(path)])
+    assert code == 2
+    assert err.getvalue().startswith(f"config error: config parse error in "
+                                     f"{path}: ")
 
 
 # ---------------------------------------------------------------------------

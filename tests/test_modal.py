@@ -29,6 +29,7 @@ PATCH = Placement(x1=0.0, x2=0.1, x0=0.095)
     dict(x1=0.0, x2=0.1, x0=1.0),
     dict(x1=-0.1, x2=0.5, x0=0.5),
     dict(x1=0.0, x2=0.1, x0=0.5, s1=0.0, s2=0.0),
+    dict(x1=0.0, x2=0.1, x0=0.5, s1=5e-324, s2=-1e-310),   # subnormal
 ])
 def test_placement_validation(kwargs):
     with pytest.raises(ValueError):

@@ -1,19 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from piezobeam.beam import BeamParams
+from piezobeam.beam import SQRT2, BeamParams, cos_pi
 from piezobeam.errors import (
+    InternalConsistencyError,
     NoFeasibleGainError,
     SingularControllabilityError,
     UnstableMatrixError,
 )
-from piezobeam.modal import Placement, assemble
+from piezobeam.modal import DampingModel, Placement, assemble
 from piezobeam.signals import NoiseSpec, build_disturbance
 from piezobeam.simulate import CoupledDynamics, SimConfig
 from piezobeam.synthesis import (
     GainSet,
+    _check_conjugate_symmetric,
     check_placement,
     decay_rate,
     eigvec_condition,
@@ -88,10 +93,70 @@ def test_tiny_patch_flagged_but_consistent():
 
 
 def test_verdict_agreement_on_grid():
-    # closed-form and PBH agree away from rational sensor points
+    # closed-form and block oracle agree away from rational sensor points
     for x0 in (np.arange(40) + 0.5) / 40.0:
         system = assemble(PARAMS, 3, Placement(0.0, 0.1, float(x0)))
         check_placement(system)   # raises InternalConsistencyError on split
+
+
+def _tampered(system):
+    """One-fault copies of ``system`` that the block oracle must catch."""
+    N = system.N
+    no_sensor = system.C.copy()
+    no_sensor[[1, N + 1]] = 0.0                 # mode 2 sensor entries
+    no_gain = system.B.copy()
+    no_gain[N + 1] = 0.0                        # mode 2 patch gain
+    coupled = system.A.copy()
+    coupled[N, N + 1] = 1e-3                    # damping couples modes 1, 2
+    pl = system.placement
+    psi = SQRT2 * cos_pi(system.modes * pl.x0)  # cos in place of sin
+    cosine = np.concatenate([pl.s1 * psi, pl.s2 * psi])
+    return {
+        "sensor entries zeroed": dataclasses.replace(system, C=no_sensor),
+        "patch gain zeroed": dataclasses.replace(system, B=no_gain),
+        "off-block entry in A": dataclasses.replace(system, A=coupled),
+        "cos for sin in C": dataclasses.replace(system, C=cosine),
+    }
+
+
+@pytest.mark.parametrize("fault", ["sensor entries zeroed",
+                                   "patch gain zeroed",
+                                   "off-block entry in A",
+                                   "cos for sin in C"])
+def test_block_oracle_catches_a_tampered_system(fault):
+    # x0 = 1/4: cos(2 pi x0) = 0 while sin(2 pi x0) = 1, so mode 2 shows
+    # the cosine fault; the untouched system passes
+    system = assemble(PARAMS, 3, Placement(0.0, 0.1, 0.25, s1=0.5, s2=1.0))
+    assert check_placement(system).ok
+    with pytest.raises(InternalConsistencyError):
+        check_placement(_tampered(system)[fault])
+
+
+@st.composite
+def near_node_placements(draw):
+    """Admissible systems with the sensor 1e-12..1e-4 off a node."""
+    N = draw(st.integers(1, 60))
+    n = draw(st.integers(2, N + 1))
+    k = draw(st.integers(1, n - 1))
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
+        st.floats(-12.0, -4.0))
+    x1 = draw(st.floats(0.0, 0.9))
+    x2 = draw(st.floats(x1 + 1e-6, 1.0))
+    weight = st.floats(-1e6, 1e6).filter(lambda s: s != 0.0)
+    try:
+        placement = Placement(x1, x2, k / n + offset, draw(weight),
+                              draw(weight))
+    except ValueError:          # both weights subnormal: not admissible
+        assume(False)
+    params = BeamParams.dimensionless(a1=draw(st.floats(0.0, 1e3)))
+    return assemble(params, N, placement,
+                    draw(st.sampled_from(list(DampingModel))))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(near_node_placements())
+def test_block_oracle_never_splits_on_admissible_placements(system):
+    check_placement(system)     # raises InternalConsistencyError on a split
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +204,66 @@ def test_placement_rejects_uncontrollable_pair():
     with pytest.raises(SingularControllabilityError):
         place_poles(system.A, system.B,
                     [-1 + 1j, -1 - 1j, -2 + 2j, -2 - 2j])
+
+
+def test_overflowing_gain_is_refused_naming_N():
+    # paired ratios keep N = 60 finite; targets near 1e200 still overflow
+    system = assemble(PARAMS, 3, PATCH)
+    targets = radial_pole_targets(system.A, 1.0) * 1e200
+    with pytest.raises(SingularControllabilityError,
+                       match="non-finite gain at N = 3"):
+        place_poles(system.A, system.B, targets)
+
+
+def _conjugate_symmetric_reference(targets, n):
+    """The interpreted check (rounded keys, Python sorts) that
+    ``_check_conjugate_symmetric`` vectorizes."""
+    targets = np.atleast_1d(np.asarray(targets, dtype=complex))
+    if targets.shape != (n,):
+        raise ValueError(f"expected {n} target poles, got {targets.shape}")
+    key = lambda z: (round(z.real, 9), round(abs(z.imag), 9))
+    plus = sorted((z for z in targets if z.imag > 1e-9), key=key)
+    minus = sorted((z for z in targets if z.imag < -1e-9), key=key)
+    scale = max(1.0, float(np.max(np.abs(targets))))
+    if len(plus) != len(minus) or any(
+        abs(p - q.conjugate()) > 1e-9 * scale for p, q in zip(plus, minus)
+    ):
+        raise ValueError("target poles must be closed under conjugation")
+    return targets
+
+
+def _accepts(check, targets):
+    try:
+        check(targets, len(targets))
+    except ValueError:
+        return False
+    return True
+
+
+parts = st.floats(-1e4, 1e4)
+nudges = st.sampled_from([0.0, 0.0, 1e-12, -1e-12, 1e-9, 5e-10, 1e-6, 1.0])
+
+
+@st.composite
+def target_sets(draw):
+    """Conjugate-closed sets, with repeats, reals and small nudges."""
+    upper = draw(st.lists(st.tuples(parts, parts), min_size=0, max_size=8))
+    upper += [upper[0]] * draw(st.integers(0, 2)) if upper else []
+    reals = draw(st.lists(parts, max_size=3))
+    pts = [complex(re, im) for re, im in upper]
+    targets = pts + [p.conjugate() for p in pts] + [complex(r) for r in reals]
+    if not targets:
+        targets = [complex(-1.0)]
+    targets = [complex(z.real + draw(nudges), z.imag + draw(nudges))
+               for z in targets]
+    return draw(st.permutations(targets))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(target_sets())
+def test_conjugate_check_matches_the_interpreted_reference(targets):
+    assert (_accepts(_check_conjugate_symmetric, targets)
+            == _accepts(_conjugate_symmetric_reference, targets))
 
 
 def test_defective_spectrum_falls_back_to_ackermann():
