@@ -22,12 +22,7 @@ from .analysis import (
 from .beam import (
     BeamParams,
     PhysicalBeam,
-    continuous_eigenvalues,
-    damped_frequency,
-    mode_shape,
-    mode_shape_derivative,
     nondimensionalize,
-    reconstruct_displacement,
 )
 from .config import ExperimentConfig, load_config, resolve_config
 from .errors import (
@@ -47,7 +42,7 @@ from .modal import (
     actuator_gain,
     assemble,
     residual_block,
-    static_gain,
+    resonant_frequencies,
 )
 from .signals import (
     DisturbanceSpec,
@@ -57,9 +52,7 @@ from .signals import (
     build_disturbance,
     constant_disturbance,
     modal_force,
-    noise_sample,
     polyharmonic_disturbance,
-    residual_output,
     tail_disturbance,
 )
 from .simulate import (

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .modal import DampingModel, mode_roots
+from .modal import DampingModel, mode_roots, resonant_frequencies
 from .simulate import simulate_residual_mode
 from .synthesis import decay_rate, eigvec_condition
 
@@ -54,17 +54,16 @@ class BoundReport:
     kappa_K: float
 
 
-def build_bound_report(system, gains, F_bound, eps_bound, e_bound_used=None):
+def build_bound_report(system, gains, F_bound, eps_bound):
     """Evaluate the steady-state bound terms and conditioning factors.
 
-    ``e_bound_used`` is the error-norm level inserted into the state bound;
-    by default the a-priori kappa_L-qualified steady error bound.
+    The error-norm level inserted into the state bound (``e_bound_used``)
+    is the a-priori kappa_L-qualified steady error bound.
     """
     kappa_L = eigvec_condition(system.A - np.outer(gains.L, system.C))
     kappa_K = eigvec_condition(system.A - np.outer(system.B, gains.K))
     e_steady = (F_bound + gains.L_norm * eps_bound) / gains.lambda_L
-    if e_bound_used is None:
-        e_bound_used = kappa_L * e_steady
+    e_bound_used = kappa_L * e_steady
     z_steady = (F_bound + gains.BK_norm * e_bound_used) / gains.lambda_K
     return BoundReport(
         lambda_L=gains.lambda_L, lambda_K=gains.lambda_K,
@@ -106,9 +105,9 @@ def residual_bounds(params, f0, N, K_max, damping_model=DampingModel.STRUCTURAL,
 
     Requires a1 > 0 (else ConfigError), f0 >= 0 and K_max > N.  The decay
     exponent comes from fitting log sup-amplitude against log k over RK4
-    runs of each residual mode driven at its own damped frequency with
+    runs of each residual mode driven at its own resonant frequency with
     amplitude f0; the structural damping model makes that exponent
-    approach -2.
+    approach -2.  A single residual mode gives no exponent.
     """
     if not params.a1 > 0.0:
         raise ConfigError(f"beam.a1 must be > 0 for residual bounds "
@@ -126,27 +125,20 @@ def residual_bounds(params, f0, N, K_max, damping_model=DampingModel.STRUCTURAL,
     sims = None
     exponent = None
     if simulate_fit and f0 > 0.0:
+        omegas = resonant_frequencies(params, modes, damping_model)
         sims = np.array([
-            simulate_residual_mode(
-                params, int(k),
-                [(f0, _damped_freq(params, int(k), damping_model), 0.0)],
-                damping_model=damping_model,
-            )[0]
-            for k in modes
+            simulate_residual_mode(params, int(k), [(f0, float(om), 0.0)],
+                                   damping_model=damping_model)[0]
+            for k, om in zip(modes, omegas)
         ])
-        exponent = float(np.polyfit(np.log(modes), np.log(sims), 1)[0])
+        if modes.size >= 2:
+            exponent = float(np.polyfit(np.log(modes), np.log(sims), 1)[0])
 
     return ResidualReport(
         N=N, modes=modes, per_mode_bound=per_mode,
         tail_sum_uniform=tail_uniform, tail_sum_smooth=tail_smooth,
         simulated_sup=sims, decay_exponent=exponent,
     )
-
-
-def _damped_freq(params, k, model):
-    """|Im| of mode k's slow root, or sigma_k^2 when it is overdamped."""
-    im = abs(float(mode_roots(params, [k], model)[0][0].imag))
-    return im if im > 0.0 else (k * math.pi) ** 2
 
 
 def damping_decay_rates(params, damping_model, k_range):
@@ -177,7 +169,7 @@ def residual_tail_study(params, f0, n_values, R, regime,
                         damping_model=DampingModel.STRUCTURAL):
     """Simulated spillover tail sum_(k=N+1..N+R) sup||(w_k, w_k')|| vs N.
 
-    Every residual mode is driven by a single cosine at its own damped
+    Every residual mode is driven by a single cosine at its own resonant
     frequency with amplitude f0 (uniform regime) or f0 / k^2 (smooth), the
     worst-case content for which the per-mode bound is attained.  Responses
     scale linearly in the amplitude, so each mode is integrated once at
@@ -191,11 +183,10 @@ def residual_tail_study(params, f0, n_values, R, regime,
         int(k) for N in n_values for k in range(N + 1, N + R + 1)
     })
     unit = {}
-    for k in needed:
-        unit[k] = simulate_residual_mode(
-            params, k, [(1.0, _damped_freq(params, k, damping_model), 0.0)],
-            damping_model=damping_model,
-        )[0]
+    for k, om in zip(needed, resonant_frequencies(params, needed,
+                                                  damping_model)):
+        unit[k] = simulate_residual_mode(params, k, [(1.0, float(om), 0.0)],
+                                         damping_model=damping_model)[0]
     sums = []
     for N in n_values:
         total = 0.0

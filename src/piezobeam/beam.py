@@ -1,4 +1,4 @@
-"""Hinged beam model: dimensionless parameters, mode shapes, eigenvalues.
+"""Hinged beam model: dimensionless parameters and the sine eigenbasis.
 
 The transverse dynamics of a slender hinged-hinged beam with symmetric
 piezoelectric patches reduce, after nondimensionalization, to
@@ -6,8 +6,10 @@ piezoelectric patches reduce, after nondimensionalization, to
     w_tt + w_xxxx - a1 * w_txx = -V(t) * (chi_[x1,x2](x))'' + a2 * F(x, t)
 
 on x in [0, 1] with w = w'' = 0 at both ends.  Everything downstream works
-with the dimensionless coefficients (a1, a2) and the sine eigenbasis of the
-hinged bi-harmonic operator; this module supplies those building blocks.
+with the dimensionless coefficients (a1, a2) and the sine eigenbasis
+psi_n(x) = sqrt(2) sin(n pi x) of the hinged bi-harmonic operator.  This
+module supplies the coefficients and an exactly reduced sin/cos of pi y;
+``modal`` builds the modes and their oscillators from them.
 """
 
 import math
@@ -142,76 +144,3 @@ def nondimensionalize(phys):
     alpha4 = phys.piezo_constant * L**4 * h * b / (2.0 * E * I)
     a2 = alpha1**2 / (alpha4 * rho)
     return BeamParams(a1=a1, a2=a2, alpha1=alpha1, alpha4=alpha4)
-
-
-# ---------------------------------------------------------------------------
-# Modal basis
-# ---------------------------------------------------------------------------
-
-def _check_mode(n):
-    if int(n) != n or n < 1:
-        raise ValueError(f"mode index must be a positive integer, got {n}")
-    return int(n)
-
-
-def _check_position(x):
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError(f"position must lie in [0, 1], got {x}")
-    return x if x.ndim else float(x)
-
-
-def mode_shape(n, x):
-    """n-th L2-normalized eigenfunction sqrt(2) sin(n pi x) on [0, 1]."""
-    n = _check_mode(n)
-    x = _check_position(x)
-    return SQRT2 * sin_pi(n * x)
-
-
-def mode_shape_derivative(n, x):
-    """Spatial derivative sqrt(2) n pi cos(n pi x) of the n-th mode."""
-    n = _check_mode(n)
-    x = _check_position(x)
-    return SQRT2 * n * math.pi * cos_pi(n * x)
-
-
-def continuous_eigenvalues(params, n):
-    """Eigenvalue pair of the damped beam operator for mode n.
-
-    Both returned values are the roots of
-
-        lambda^2 + a1 sigma_n^2 lambda + sigma_n^4 = 0,
-
-    i.e. sigma_n^2 * (-a1 +/- sqrt(a1^2 - 4)) / 2: a complex-conjugate pair
-    for a1 < 2, two negative reals for a1 > 2, and a double root -sigma_n^2
-    at a1 = 2.  Returned as (root with + sqrt, root with - sqrt).
-    """
-    n = _check_mode(n)
-    s2 = (n * math.pi) ** 2
-    a1 = params.a1
-    if a1 < 2.0:
-        re = -a1 * s2 / 2.0
-        im = s2 * math.sqrt(4.0 - a1 * a1) / 2.0
-        return complex(re, im), complex(re, -im)
-    if a1 > 2.0:
-        root = math.sqrt(a1 * a1 - 4.0)
-        return (complex(s2 * (-a1 + root) / 2.0),
-                complex(s2 * (-a1 - root) / 2.0))
-    return complex(-s2), complex(-s2)
-
-
-def damped_frequency(params, n):
-    """|Im| of the mode-n eigenvalue: sigma_n^2 sqrt(4 - a1^2)/2 for a1 < 2."""
-    lam_plus, _ = continuous_eigenvalues(params, n)
-    return abs(lam_plus.imag)
-
-
-def reconstruct_displacement(coeffs, x):
-    """Evaluate sum_n w_n * psi_n(x) for coefficient pairs (n, w_n)."""
-    x = _check_position(x)
-    total = 0.0 * np.asarray(x, dtype=float)
-    for n, w_n in coeffs:
-        if not np.isfinite(w_n):
-            raise ValueError(f"non-finite coefficient for mode {n}: {w_n}")
-        total = total + w_n * mode_shape(n, x)
-    return total if np.ndim(total) else float(total)

@@ -258,12 +258,12 @@ def _build_params(v):
     return params
 
 
-def _build_disturbance(d, params):
+def _build_disturbance(d, params, model):
     if d["kind"] == "polyharmonic":
         return polyharmonic_disturbance(
             params, driven_modes=d["driven_modes"], count=d["harmonics"],
             bound=11.0 if d["bound"] is None else d["bound"],
-            resonance=d["resonance"],
+            resonance=d["resonance"], damping_model=model,
         )
     needs = {"custom": ["modes"], "constant": ["values"],
              "tail": ["f0", "tail_modes"]}[d["kind"]]
@@ -274,7 +274,8 @@ def _build_disturbance(d, params):
         return build_disturbance(d["modes"], bound=d["bound"])
     if d["kind"] == "constant":
         return constant_disturbance(d["values"])
-    return tail_disturbance(params, d["f0"], d["tail_modes"], d["regime"])
+    return tail_disturbance(params, d["f0"], d["tail_modes"], d["regime"],
+                            model)
 
 
 def _sweep_placement(base, parameter, value):
@@ -310,7 +311,8 @@ def resolve_config(data):
     with _coerced("placement"):
         placement = Placement(**_fields(v, "placement"))
     with _coerced("disturbance"):
-        disturbance = _build_disturbance(_fields(v, "disturbance"), params)
+        disturbance = _build_disturbance(_fields(v, "disturbance"), params,
+                                         v["damping"])
     with _coerced("noise"):
         noise = NoiseSpec(**_fields(v, "noise"))
     with _coerced("sim"):

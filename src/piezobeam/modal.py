@@ -7,10 +7,12 @@ decoupled oscillators
 
 with d_n = a1 sigma_n^2 (structural damping) or a1 sigma_n^4 (Kelvin-Voigt)
 and b_n = psi_n'(x2) - psi_n'(x1) from the patch edges.  The oscillator is
-solved here only: ``mode_roots`` (per-mode roots) and ``oscillator_matrix``
-(its [[0, I], [-sigma^4, -d]] block).  One builder adds the patch and sensor
-rows to it for modes 1..N (``assemble``) and for the uncontrolled residual
-modes N+1..N+R of the spillover studies (``residual_block``).
+solved here only: ``mode_roots`` (per-mode roots), ``resonant_frequencies``
+(the drive frequency of the resonant forcing, from those roots) and
+``oscillator_matrix`` (its [[0, I], [-sigma^4, -d]] block).  One function
+adds the patch and sensor rows to it for modes 1..N (``assemble``) and for
+the uncontrolled residual modes N+1..N+R of the spillover studies
+(``residual_block``).
 """
 
 import math
@@ -57,6 +59,14 @@ def mode_roots(params, modes, model=DampingModel.STRUCTURAL):
     return slow, fast
 
 
+def resonant_frequencies(params, modes, model=DampingModel.STRUCTURAL):
+    """Per-mode drive frequency: |Im| of the slow root, or sigma_n^2 when the
+    mode is overdamped and its roots are real."""
+    im = np.abs(mode_roots(params, modes, model)[0].imag)
+    s2 = (np.asarray(modes, dtype=float) * math.pi) ** 2
+    return np.where(im > 0.0, im, s2)
+
+
 def oscillator_matrix(params, modes, model=DampingModel.STRUCTURAL):
     """Block [[0, I], [-diag sigma^4, -diag d]] of the modes' oscillators."""
     n = len(modes)
@@ -99,13 +109,6 @@ def actuator_gain(n, placement):
     return SQRT2 * n * math.pi * (
         cos_pi(n * placement.x2) - cos_pi(n * placement.x1)
     )
-
-
-def static_gain(params, n):
-    """Steady modal amplitude per unit constant modal force: a2 / sigma_n^4."""
-    if n < 1:
-        raise ValueError(f"mode index must be >= 1, got {n}")
-    return params.a2 / (n * math.pi) ** 4
 
 
 @dataclass

@@ -1,12 +1,14 @@
-"""Disturbance, measurement-noise, and measurement-spillover signals.
+"""Disturbance and measurement-noise signals.
 
 The distributed load is represented by its modal coefficients f_n(t), each a
-finite cosine sum with a declared amplitude bound.  ``modal_force`` evaluates
-one at arbitrary times, term by term; ``cosine_sum_grid`` evaluates a cosine
-sum on a whole uniform grid t_i = i h by angle addition, with O(sqrt(count))
-cos/sin calls per harmonic instead of one per sample.  Measurement noise is
-any bounded deterministic-under-seed waveform; the default is a seeded
-uniform-random value held constant over short intervals.
+finite cosine sum with a declared amplitude bound.  The resonant forcings
+(polyharmonic comb, tail load) are tuned by ``modal.resonant_frequencies``
+under the beam's damping model.  ``modal_force`` evaluates f_n at arbitrary
+times, term by term; ``cosine_sum_grid`` evaluates a cosine sum on a whole
+uniform grid t_i = i h by angle addition, with O(sqrt(count)) cos/sin calls
+per harmonic instead of one per sample.  Measurement noise is any bounded
+deterministic-under-seed waveform; the default is a seeded uniform-random
+value held constant over short intervals (``noise_samples``).
 """
 
 import math
@@ -15,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .beam import damped_frequency
+from .modal import DampingModel, resonant_frequencies
 
 # Largest declared per-mode force bound: F_bound sums the squares of the
 # per-mode bounds, which must stay far from overflow.
@@ -103,17 +105,18 @@ def build_disturbance(mode_harmonics, bound=None):
 
 
 def polyharmonic_disturbance(params, driven_modes=3, count=11, bound=11.0,
-                             resonance=True):
+                             resonance=True,
+                             damping_model=DampingModel.STRUCTURAL):
     """Equal polyharmonic forcing on the first ``driven_modes`` modes.
 
     Each driven mode receives ``count`` equal-amplitude zero-phase cosines
-    at frequencies j * omega_1 / 3 (j = 1..count) where omega_1 is the
-    lowest damped vibration frequency, so j = 3 lands exactly on resonance.
-    Amplitudes are normalized to sum to ``bound`` per mode.  With
-    ``resonance=False`` the frequency comb is stretched by 5% so no
+    at frequencies j * omega_1 / 3 (j = 1..count) where omega_1 is mode 1's
+    resonant frequency under ``damping_model``, so j = 3 lands exactly on
+    resonance.  Amplitudes are normalized to sum to ``bound`` per mode.
+    With ``resonance=False`` the frequency comb is stretched by 5% so no
     component coincides with omega_1.
     """
-    om1 = damped_frequency(params, 1)
+    om1 = float(resonant_frequencies(params, [1], damping_model)[0])
     stretch = 1.0 if resonance else 1.05
     freqs = [j * om1 * stretch / 3.0 for j in range(1, count + 1)]
     per_mode = tuple((1.0, om, 0.0) for om in freqs)
@@ -125,21 +128,22 @@ def constant_disturbance(values):
     return build_disturbance([((v, 0.0, 0.0),) for v in values])
 
 
-def tail_disturbance(params, f0, n_modes, regime="uniform"):
+def tail_disturbance(params, f0, n_modes, regime="uniform",
+                     damping_model=DampingModel.STRUCTURAL):
     """Single resonant cosine per mode with a k-dependent amplitude envelope.
 
     regime "uniform": amplitude f0 for every mode; "smooth": f0 / k^2, the
     envelope of a spatially smooth load.  Each mode is driven at its own
-    damped frequency, the regime in which the per-mode response bound is
+    resonant frequency, the regime in which the per-mode response bound is
     tight, so simulated residual amplitudes track their predicted decay.
     """
     if regime not in ("uniform", "smooth"):
         raise ValueError(f"unknown tail regime {regime!r}")
-    hs = []
-    for k in range(1, n_modes + 1):
-        amp = f0 if regime == "uniform" else f0 / k**2
-        hs.append(((amp, damped_frequency(params, k), 0.0),))
-    return build_disturbance(hs)
+    modes = range(1, n_modes + 1)
+    omegas = resonant_frequencies(params, modes, damping_model)
+    return build_disturbance([
+        ((f0 if regime == "uniform" else f0 / k**2, om, 0.0),)
+        for k, om in zip(modes, omegas)])
 
 
 def modal_force(spec, n, t):
@@ -224,11 +228,6 @@ def _splitmix64(x):
     return x ^ (x >> np.uint64(31))
 
 
-def noise_sample(spec, t):
-    """xi(t): deterministic in (spec.seed, t), |xi| <= spec.bound."""
-    return float(noise_samples(spec, np.array([t], dtype=float))[0])
-
-
 def noise_samples(spec, times):
     """xi at an array of times; UNIFORM_HOLD hashes (seed, interval index)."""
     times = np.asarray(times, dtype=float)
@@ -244,17 +243,3 @@ def noise_samples(spec, times):
     h = _splitmix64(seed ^ _splitmix64(idx))
     u = (h >> np.uint64(11)).astype(float) * (1.0 / (1 << 53))  # [0, 1)
     return ((2.0 * u - 1.0) * spec.bound).reshape(times.shape)
-
-
-# ---------------------------------------------------------------------------
-# Measurement spillover
-# ---------------------------------------------------------------------------
-
-def residual_output(block, state):
-    """Sensor contribution r(t) = sum_k (s1 w_k + s2 w_k') psi_k(x0)."""
-    state = np.asarray(state, dtype=float)
-    if not np.all(np.isfinite(state)):
-        raise ValueError("residual state must be finite")
-    if block.R == 0:
-        return 0.0
-    return float(block.C @ state)

@@ -36,9 +36,11 @@ Both take their forcing on the uniform half-step grid from one kernel,
 ``signals.cosine_sum_grid`` (angle addition: O(sqrt(count)) cos/sin calls
 per harmonic).  ``simulate`` synthesizes one table per distinct harmonic
 set, so modes driven by the same comb share it; the residual-mode runs take
-each chunk's forcing from it at the chunk's grid offset.  ``CoupledDynamics``
-``step`` and ``channel_values`` evaluate the forces pointwise through
-``modal_force``, the independent path the tests check the kernel against.
+each chunk's forcing from it at the chunk's grid offset.
+
+An unstable M (max Re eig(M) >= 0) is refused before stepping when dt is
+unset; with dt given it is integrated, and a non-finite state ends the
+run with a DivergenceError.
 """
 
 import math
@@ -47,9 +49,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, UnstableMatrixError
 from .modal import DampingModel, mode_roots, oscillator_matrix, residual_block
-from .signals import cosine_sum_grid, modal_force, noise_samples
+from .signals import cosine_sum_grid, noise_samples
+# not called here: perfbench/tracer.py wraps this module attribute by name,
+# and tests/test_tracer_boundaries.py pins it
+from .signals import modal_force  # noqa: F401
 
 DT_REAL_FACTOR = 0.1      # dt <= 0.1 / max |Re lambda|
 DT_IMAG_FACTOR = 2 * math.pi / 20.0  # >= 20 steps per fastest period
@@ -176,11 +181,6 @@ class RK4:
         # u_i = [c_2i, c_2i+1, c_2i+2] @ PG.T: the three stages in one GEMM
         self.PG = np.hstack([self.P1G, self.P23G, self.P4G])
 
-    def step(self, x, c):
-        """One step from x; c holds the channel values at t, t + dt/2, t + dt."""
-        return (self.R1 @ x + self.P1G @ c[0] + self.P23G @ c[1]
-                + self.P4G @ c[2])
-
     def run(self, X, c):
         """Fill X[1:] in place with the states after each step from X[0].
 
@@ -234,13 +234,13 @@ class CoupledDynamics:
 
     ``spectrum`` is eig(M) and ``cap`` its stability cap.  dt is
     ``config.dt``, or half the cap when unset; a dt above the cap is a
-    ConfigError.  A noise spec without a hold gets ten steps.
+    ConfigError, and an unset dt on an M with max Re eig(M) >= 0 is an
+    UnstableMatrixError.  A noise spec without a hold gets ten steps.
     """
 
     def __init__(self, system, gains, disturbance, noise, config):
         N = system.N
         R = config.residual_modes
-        self.disturbance = disturbance
         self.N = N
         self.R = R
         self.block = residual_block(
@@ -269,13 +269,17 @@ class CoupledDynamics:
 
         self.spectrum = np.linalg.eigvals(M)
         self.cap = stability_cap(self.spectrum)
+        max_re = float(np.max(self.spectrum.real))
+        if config.dt is None and max_re >= 0.0:
+            raise UnstableMatrixError(
+                f"the coupled operator M is not stable (max Re eig(M) = "
+                f"{max_re:.3g} >= 0); set dt to integrate it anyway")
         dt = config.dt if config.dt is not None else 0.5 * self.cap
         if math.isfinite(self.cap) and dt > self.cap * (1.0 + 1e-9):
             raise ConfigError(
                 f"dt = {dt:.3e} exceeds the stability cap {self.cap:.3e} of "
-                "the coupled operator M (max Re eig(M) = "
-                f"{float(np.max(self.spectrum.real)):.3g}); reduce dt or "
-                "leave it unset"
+                f"the coupled operator M (max Re eig(M) = {max_re:.3g}); "
+                "reduce dt or leave it unset"
             )
         self.dt = float(dt)
         self.noise = (noise if noise.hold is not None
@@ -296,20 +300,6 @@ class CoupledDynamics:
             G[3 * N + R + k - 1, j] = a2
         G[e, -1] = -self.L
         self.rk4 = RK4(M, G, self.dt)
-
-    def channel_values(self, times):
-        """Channel value matrix c(t) for an array of times."""
-        times = np.asarray(times, dtype=float)
-        c = np.empty((times.size, len(self.forced_modes) + 1))
-        for j, n in enumerate(self.forced_modes):
-            c[:, j] = modal_force(self.disturbance, n, times)
-        c[:, -1] = noise_samples(self.noise, times)
-        return c
-
-    def step(self, x, t):
-        """One classical RK4 step from (x, t) to t + dt."""
-        c = self.channel_values(np.array([t, t + self.dt / 2, t + self.dt]))
-        return self.rk4.step(x, c)
 
     def initial_state(self, config):
         """X(0) = [z0, z0 - z_hat0, residual0]."""

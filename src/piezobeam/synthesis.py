@@ -1,8 +1,9 @@
 """Placement verdicts, pole placement, and steady-state-bound gain tuning.
 
 Observability/controllability of the truncated beam have closed-form tests:
-a mode n is invisible to the sensor iff sin(n pi x0) = 0 and unreachable by
-the patch iff cos(n pi x2) = cos(n pi x1).  ``check_placement`` runs those
+a mode n is invisible to the sensor iff sin(n pi x0) = 0 or the sensor's
+zero -s1/s2 is a root of the mode, and unreachable by the patch iff
+cos(n pi x2) = cos(n pi x1).  ``check_placement`` runs those
 alongside a numeric oracle and reports cheap per-mode diagnostics.  The
 oracle takes each mode's 2x2 Kalman determinants from the assembled A, B, C
 (``_block_factors``), so it stays independent of the closed-form verdict
@@ -26,6 +27,7 @@ from .errors import (
     SingularControllabilityError,
     UnstableMatrixError,
 )
+from .modal import damping_coefficients
 
 # Entries of B/C whose closed-form factor is below this (relative to the
 # sqrt(2) n pi scale) count as exact zeros of the placement test.
@@ -53,10 +55,12 @@ def _block_factors(system):
     """Per-mode (observability, controllability) factors of A, B, C.
 
     A must couple only each pair (w_n, w_n'); then det[C_n; C_n A_n] and
-    det[B_n, A_n B_n] decide mode n (Kalman).  Scaled by the block's own
-    d_n = -A_n[1, 1] and sigma_n^4 = -A_n[1, 0] they read as |sin(n pi x0)|
-    and |cos(n pi x2) - cos(n pi x1)|.  C is homogeneous in (s1, s2), so
-    both are divided by the larger weight.
+    det[B_n, A_n B_n] decide mode n (Kalman).  With the block's own d_n =
+    -A_n[1, 1] and sigma_n^4 = -A_n[1, 0], the first is psi_n^2 (s1^2 -
+    s1 s2 d_n + s2^2 sigma_n^4): observability is the smaller of |psi_n| /
+    sqrt(2), read as |sin(n pi x0)|, and the sensor-zero factor this leaves.
+    The second reads as |cos(n pi x2) - cos(n pi x1)|.  C is homogeneous in
+    (s1, s2), so both are divided by the larger weight.
     """
     N, A, pl = system.N, system.A, system.placement
     if np.any(A[~np.tile(np.eye(N, dtype=bool), (2, 2))]):
@@ -68,8 +72,10 @@ def _block_factors(system):
     u, v = system.B[:N], system.B[N:]
     det_obs = p * (p * b + q * d) - q * (p * a + q * c)
     det_ctr = u * (c * u + d * v) - v * (a * u + b * v)
-    obs = np.sqrt(np.abs(det_obs) / (2 * (s1 * s1 - abs(s1 * s2) * d
-                                          - s2 * s2 * c)))
+    psi2 = (p * p + q * q) / (s1 * s1 + s2 * s2)
+    norm = psi2 * (s1 * s1 - abs(s1 * s2) * d - s2 * s2 * c)
+    zero = np.abs(det_obs) / np.where(psi2 > 0.0, norm, 1.0)
+    obs = np.minimum(np.sqrt(psi2 / 2), zero)
     ctr = np.sqrt(np.abs(det_ctr) / (2 * np.sqrt(-c)))
     return obs, ctr
 
@@ -77,11 +83,13 @@ def _block_factors(system):
 def check_placement(system):
     """Closed-form observability/controllability verdict with a block oracle.
 
-    The closed-form test flags mode n when |sin(n pi x0)| <= ZERO_TOL
-    (sensor on a node) or |cos(n pi x2) - cos(n pi x1)| <= ZERO_TOL (patch
-    edges at equal slope influence).  The per-mode Kalman factors of the
-    assembled arrays (``_block_factors``) must agree outside the
-    ill-conditioned band, else InternalConsistencyError is raised.
+    The closed-form test flags mode n when one of these is <= ZERO_TOL:
+    |sin(n pi x0)| (sensor on a node), |s1^2 - s1 s2 d_n + s2^2 sigma_n^4|
+    / (s1^2 + |s1 s2| d_n + s2^2 sigma_n^4) (the sensor's zero -s1/s2 on a
+    root of the mode), |cos(n pi x2) - cos(n pi x1)| (patch edges at equal
+    slope influence).  The per-mode Kalman factors of the assembled arrays
+    (``_block_factors``) must agree outside the ill-conditioned band, else
+    InternalConsistencyError is raised.
     """
     pl = system.placement
     modes = system.modes
@@ -89,9 +97,18 @@ def check_placement(system):
     warnings = []
 
     sin_fac = np.abs(sin_pi(modes * pl.x0))
-    obs_bad = {int(n) for n in modes[sin_fac <= ZERO_TOL]}
+    scale = max(abs(pl.s1), abs(pl.s2))
+    s1, s2 = pl.s1 / scale, pl.s2 / scale
+    d = damping_coefficients(system.params, modes, system.damping_model)
+    s4 = ((modes * np.pi) ** 2) ** 2
+    zero_fac = (np.abs(s1 * s1 - s1 * s2 * d + s2 * s2 * s4)
+                / (s1 * s1 + abs(s1 * s2) * d + s2 * s2 * s4))
+    obs_fac = np.minimum(sin_fac, zero_fac)
+    obs_bad = {int(n) for n in modes[obs_fac <= ZERO_TOL]}
     for n in sorted(obs_bad):
-        reasons.append(f"mode {n}: sensor at node, sin({n} pi x0) = 0")
+        reasons.append(f"mode {n}: sensor at node, sin({n} pi x0) = 0"
+                       if sin_fac[n - 1] <= ZERO_TOL else
+                       f"mode {n}: sensor zero -s1/s2 is a root of the mode")
 
     cos_fac = np.abs(cos_pi(modes * pl.x2) - cos_pi(modes * pl.x1))
     ctr_bad = {int(n) for n in modes[cos_fac <= ZERO_TOL]}
@@ -102,7 +119,7 @@ def check_placement(system):
 
     lo, hi = ILL_COND_BAND
     for label, fac, oracle in zip(("observability", "controllability"),
-                                  (sin_fac, cos_fac), _block_factors(system)):
+                                  (obs_fac, cos_fac), _block_factors(system)):
         split = (fac <= ZERO_TOL) != (oracle <= ZERO_TOL)
         for n, mag in zip(modes[split], fac[split]):
             if not lo < mag < hi:

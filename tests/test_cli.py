@@ -254,6 +254,22 @@ def test_check_spans_many_decades(tmp_path, capsys, data, code, line):
     assert err == ""
 
 
+def test_sensor_zero_on_a_root_names_the_mode(tmp_path, capsys):
+    # y = s1 w + s2 w' has its zero at -s1/s2 = -1, mode 1's slow root at
+    # a1 = (1 + pi^4) / pi^2: the closed form missed it and check raised
+    # InternalConsistencyError (exit 3)
+    path = write_config(tmp_path, {
+        "N": 1, "beam": {"a1": (1 + math.pi**4) / math.pi**2},
+        "placement": {"x1": 0.0, "x2": 0.1, "x0": 0.3, "s1": 1.0, "s2": 1.0},
+    })
+    assert main(["check", "--config", path]) == 1
+    out, err = capsys.readouterr()
+    assert "observable:   False" in out.splitlines()
+    assert "offending modes: [1]" in out.splitlines()
+    assert "mode 1: sensor zero" in out
+    assert err == ""
+
+
 def test_subnormal_sensor_weights_are_config_errors(tmp_path, capsys):
     # s * psi_n underflowed to a zero sensor row, which check reported as
     # an internal inconsistency (exit 3)
@@ -323,6 +339,21 @@ def test_bounds_command(tmp_path, capsys):
     assert len(residual) >= 3
 
 
+@pytest.mark.parametrize("R", [0, 1, 2])
+def test_bounds_fits_a_decay_exponent_over_two_modes_or_more(tmp_path, capsys,
+                                                             R):
+    # bounds runs max(R, 1) residual modes; a slope through one point
+    # printed "simulated decay exponent: 0.699882574892" with a RankWarning
+    path = write_config(tmp_path, {"preset": "fig1",
+                                   "sim": {"residual_modes": R}})
+    assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert ("simulated decay exponent" in out) == (R >= 2)
+    rows = (tmp_path / "fig1_residual.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == \
+        [str(k) for k in range(4, 4 + max(R, 1))]
+
+
 def test_sweep_command(tmp_path, capsys):
     path = write_config(tmp_path, {
         "preset": "fig1",
@@ -387,6 +418,20 @@ def test_full_coupling_fig1_refused_with_the_coupled_cap(tmp_path, capsys):
     cap = float(re.search(r"stability cap (\S+) ", err).group(1))
     max_re = float(re.search(r"max Re eig\(M\) = ([^)]+)\)", err).group(1))
     assert cap == pytest.approx(1.01e-4, rel=5e-3)
+    assert max_re == pytest.approx(2.37, rel=5e-3)
+    assert not (tmp_path / "fig1_timeseries.csv").exists()
+
+
+def test_unstable_loop_is_refused_when_dt_is_unset(tmp_path, capsys):
+    # with dt unset the same loop ran at half its cap and exited 0 with
+    # ||e|| near 2e13
+    path = write_config(tmp_path, {"preset": "fig1",
+                                   "sim": {"coupling": "full", "dt": None}})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible design: the coupled operator M is "
+                          "not stable")
+    max_re = float(re.search(r"max Re eig\(M\) = (\S+) >= 0\)", err).group(1))
     assert max_re == pytest.approx(2.37, rel=5e-3)
     assert not (tmp_path / "fig1_timeseries.csv").exists()
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from piezobeam.beam import BeamParams, continuous_eigenvalues
+from oracles import continuous_eigenvalues, mode_shape_derivative, static_gain
+from piezobeam.beam import BeamParams
 from piezobeam.modal import (
     DampingModel,
     Placement,
@@ -12,7 +13,6 @@ from piezobeam.modal import (
     mode_roots,
     oscillator_matrix,
     residual_block,
-    static_gain,
 )
 
 PARAMS = BeamParams.dimensionless(a1=0.01)
@@ -55,7 +55,6 @@ def test_actuator_gain_degenerate_patch():
 
 
 def test_actuator_gain_matches_mode_shape_derivative():
-    from piezobeam.beam import mode_shape_derivative
     for n in (1, 2, 4):
         expect = (mode_shape_derivative(n, PATCH.x2)
                   - mode_shape_derivative(n, PATCH.x1))
@@ -230,6 +229,11 @@ def test_static_gain_values():
                                                    rel=1e-14)
     zero_force = BeamParams(a1=0.01, a2=1e-300)
     assert static_gain(zero_force, 3) == pytest.approx(0.0, abs=1e-290)
+    # the oscillator's equilibrium under a constant force a2
+    for n in (1, 2):
+        A = oscillator_matrix(PARAMS, [n])
+        w = -np.linalg.solve(A, [0.0, PARAMS.a2])[0]
+        assert w == pytest.approx(static_gain(PARAMS, n), rel=1e-14)
 
 
 def test_modal_energy_and_dissipation_helpers():

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piezobeam.beam import BeamParams, damped_frequency
-from piezobeam.modal import Placement, residual_block
+from piezobeam.beam import BeamParams
+from piezobeam.modal import (
+    DampingModel,
+    Placement,
+    mode_roots,
+    residual_block,
+    resonant_frequencies,
+)
 from piezobeam.signals import (
     NoiseSpec,
     NoiseWaveform,
@@ -14,10 +20,8 @@ from piezobeam.signals import (
     constant_disturbance,
     cosine_sum_grid,
     modal_force,
-    noise_sample,
     noise_samples,
     polyharmonic_disturbance,
-    residual_output,
     tail_disturbance,
 )
 
@@ -61,12 +65,34 @@ def test_default_polyharmonic_amplitudes_and_bound():
 
 def test_resonance_component_present():
     spec = polyharmonic_disturbance(PARAMS, resonance=True)
-    om1 = damped_frequency(PARAMS, 1)
+    om1 = resonant_frequencies(PARAMS, [1])[0]
     freqs = [h.omega for h in spec.mode_harmonics[0]]
     assert any(om == pytest.approx(om1, rel=1e-15) for om in freqs)
     spec_off = polyharmonic_disturbance(PARAMS, resonance=False)
     freqs_off = [h.omega for h in spec_off.mode_harmonics[0]]
     assert not any(abs(om - om1) < 1e-12 for om in freqs_off)
+
+
+@pytest.mark.parametrize("a1", [0.01, 0.1])
+def test_comb_is_tuned_to_the_damping_model(a1):
+    # j = 3 of the comb is mode 1's |Im| slow root under the beam's own model
+    params = BeamParams.dimensionless(a1=a1)
+    model = DampingModel.KELVIN_VOIGT
+    slow = mode_roots(params, [1], model)[0][0]
+    spec = polyharmonic_disturbance(params, damping_model=model)
+    assert spec.mode_harmonics[0][2].omega == pytest.approx(abs(slow.imag),
+                                                            rel=1e-15)
+
+
+def test_overdamped_comb_is_tuned_to_sigma_squared():
+    # real roots: the comb and the tail load fall back to sigma_n^2
+    params = BeamParams.dimensionless(a1=3.0)
+    spec = polyharmonic_disturbance(params)
+    assert spec.mode_harmonics[0][2].omega == pytest.approx(math.pi**2,
+                                                            rel=1e-15)
+    tail = tail_disturbance(params, 1.0, 3)
+    for k in (1, 2, 3):
+        assert tail.mode_harmonics[k - 1][0].omega == (k * math.pi) ** 2
 
 
 def test_normalization_rescales_to_bound():
@@ -94,7 +120,7 @@ def test_tail_disturbance_envelopes():
         assert smooth.mode_bound(k) == pytest.approx(5.0 / k**2, rel=1e-12)
         # driven at the mode's own damped frequency
         assert uni.mode_harmonics[k - 1][0].omega == pytest.approx(
-            damped_frequency(PARAMS, k), rel=1e-14)
+            math.pi**2 * k**2 * math.sqrt(4 - 0.01**2) / 2, rel=1e-14)
     with pytest.raises(ValueError):
         tail_disturbance(PARAMS, 5.0, 4, "other")
 
@@ -181,6 +207,11 @@ def test_cosine_sum_grid_constant_forces():
 # ---------------------------------------------------------------------------
 # noise
 # ---------------------------------------------------------------------------
+
+def noise_sample(spec, t):
+    """xi at one time, through the array path."""
+    return float(noise_samples(spec, np.array([t], dtype=float))[0])
+
 
 def test_zero_bound_noise():
     spec = NoiseSpec(bound=0.0, seed=5, hold=0.01)
@@ -272,24 +303,24 @@ def test_noise_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# measurement spillover
+# measurement spillover: the residual block's sensor row
 # ---------------------------------------------------------------------------
 
 def test_residual_output_empty_block():
     block = residual_block(PARAMS, Placement(0.0, 0.1, 0.6), N=3, R=0)
-    assert residual_output(block, np.zeros(0)) == 0.0
+    assert block.C @ np.zeros(0) == 0.0
 
 
 def test_residual_output_node_position():
     # mode 4 velocity at x0 = 0.5: psi_4(0.5) = sqrt(2) sin(2 pi) = 0
     block = residual_block(PARAMS, Placement(0.0, 0.1, 0.5), N=3, R=1)
-    assert residual_output(block, np.array([0.0, 1.0])) == 0.0
+    assert block.C @ np.array([0.0, 1.0]) == 0.0
 
 
 def test_residual_output_mode_four_at_06():
     # psi_4(0.6) = sqrt(2) sin(2.4 pi) = sqrt(2) sin(0.4 pi)
     block = residual_block(PARAMS, Placement(0.0, 0.1, 0.6), N=3, R=1)
-    got = residual_output(block, np.array([0.0, 1.0]))
+    got = block.C @ np.array([0.0, 1.0])
     assert got == pytest.approx(1.3449970239279148, rel=1e-13)
 
 
@@ -300,13 +331,7 @@ def test_residual_output_mixed_weights():
     psi2 = math.sqrt(2) * math.sin(2 * math.pi * 0.3)
     psi3 = math.sqrt(2) * math.sin(3 * math.pi * 0.3)
     expect = 2.0 * (0.4 * psi2 - 0.2 * psi3) + 0.5 * (1.0 * psi2 + 3.0 * psi3)
-    assert residual_output(block, state) == pytest.approx(expect, rel=1e-12)
-
-
-def test_residual_output_rejects_nonfinite():
-    block = residual_block(PARAMS, Placement(0.0, 0.1, 0.6), N=3, R=1)
-    with pytest.raises(ValueError):
-        residual_output(block, np.array([np.inf, 0.0]))
+    assert block.C @ state == pytest.approx(expect, rel=1e-12)
 
 
 def test_constant_disturbance():

@@ -2,16 +2,24 @@ import importlib
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles import static_gain
 from piezobeam.beam import BeamParams
-from piezobeam.errors import ConfigError, DivergenceError
-from piezobeam.modal import DampingModel, Placement, assemble, static_gain
+from piezobeam.errors import ConfigError, DivergenceError, UnstableMatrixError
+from piezobeam.modal import (
+    DampingModel,
+    Placement,
+    assemble,
+    resonant_frequencies,
+)
 from piezobeam.signals import (
     NoiseSpec,
     build_disturbance,
+    modal_force,
     noise_samples,
     constant_disturbance,
     polyharmonic_disturbance,
@@ -92,6 +100,24 @@ def test_dc_gain_single_mode():
     assert res.z[-1, 0] == pytest.approx(expect, rel=1e-3)
 
 
+def channel_values(dyn, dist, times):
+    """Channel values c(t): each forced mode's f_n term by term, then noise."""
+    times = np.asarray(times, dtype=float)
+    c = np.empty((times.size, len(dyn.forced_modes) + 1))
+    for j, n in enumerate(dyn.forced_modes):
+        c[:, j] = modal_force(dist, n, times)
+    c[:, -1] = noise_samples(dyn.noise, times)
+    return c
+
+
+def pointwise_step(dyn, dist, x, t):
+    """Reference: one RK4 step from (x, t) in propagator form, with the
+    forces evaluated pointwise instead of from the synthesized grid."""
+    c = channel_values(dyn, dist, np.array([t, t + dyn.dt / 2, t + dyn.dt]))
+    rk4 = dyn.rk4
+    return rk4.R1 @ x + rk4.P1G @ c[0] + rk4.P23G @ c[1] + rk4.P4G @ c[2]
+
+
 def test_step_matches_textbook_rk4():
     # independent oracle: explicit four-stage RK4 on x' = M x + g(t)
     system = assemble(PARAMS, 2, PATCH)
@@ -106,7 +132,7 @@ def test_step_matches_textbook_rk4():
     G = dyn.rk4.P4G * (6.0 / dyn.dt)  # P4 = (dt/6) I, so this recovers G
 
     def g(t):
-        return G @ dyn.channel_values(np.array([t]))[0]
+        return G @ channel_values(dyn, dist, np.array([t]))[0]
 
     t0, dt = 0.17, dyn.dt
     k1 = dyn.M @ x + g(t0)
@@ -114,8 +140,8 @@ def test_step_matches_textbook_rk4():
     k3 = dyn.M @ (x + dt / 2 * k2) + g(t0 + dt / 2)
     k4 = dyn.M @ (x + dt * k3) + g(t0 + dt)
     expect = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    np.testing.assert_allclose(dyn.step(x, t0), expect, rtol=1e-12,
-                               atol=1e-12)
+    np.testing.assert_allclose(pointwise_step(dyn, dist, x, t0), expect,
+                               rtol=1e-12, atol=1e-12)
 
 
 def block_size(n):
@@ -125,7 +151,7 @@ def block_size(n):
 
 @pytest.mark.parametrize("n", [0, 1, 3, 9, 50, 2000])
 def test_simulate_matches_sequential_steps(n):
-    # The blocked scan against CoupledDynamics.step, the textbook-checked
+    # The blocked scan against pointwise_step, the textbook-checked
     # single step, looped.  n = 1 and 3 are one-step blocks, 9 is 4 blocks
     # of 2 plus a 1-step tail, 50 is 10 whole blocks of 5, 2000 is 62
     # blocks of 32 plus a 16-step tail.  The scan reorders sums, so the
@@ -145,7 +171,7 @@ def test_simulate_matches_sequential_steps(n):
     expect = np.empty_like(X)
     expect[0] = dyn.initial_state(cfg)
     for i in range(n):
-        expect[i + 1] = dyn.step(expect[i], i * dt)
+        expect[i + 1] = pointwise_step(dyn, dist, expect[i], i * dt)
     np.testing.assert_array_equal(X[0], expect[0])
     np.testing.assert_allclose(X, expect, rtol=0,
                                atol=1e-11 * np.max(np.abs(expect)))
@@ -233,7 +259,10 @@ def test_full_coupling_cap_comes_from_the_coupled_spectrum():
     system = assemble(PARAMS, 3, PATCH)
     gains = fig_gains(system)
     cfg = SimConfig(t_final=0.1, residual_modes=5, coupling=Coupling.FULL)
-    dyn = CoupledDynamics(system, gains, NO_FORCE, NO_NOISE, cfg)
+    with pytest.raises(UnstableMatrixError, match="max Re eig"):
+        CoupledDynamics(system, gains, NO_FORCE, NO_NOISE, cfg)
+    dyn = CoupledDynamics(system, gains, NO_FORCE, NO_NOISE,
+                          replace(cfg, dt=1e-6))
     assert np.max(dyn.spectrum.real) > 1.0
     assert dyn.cap < 0.5 * block_cap_oracle(
         system, gains, residual_block(PARAMS, PATCH, 3, 5))
@@ -309,10 +338,18 @@ def test_rk4_order_from_step_halving():
 # energy dissipation (homogeneous plant)
 # ---------------------------------------------------------------------------
 
+def half_cap(system, gains, **sim):
+    """Half the stability cap of M, the dt an unset sim.dt picks.  Given
+    explicitly, it also runs an M that an unset dt refuses as unstable."""
+    probe = SimConfig(t_final=0.0, dt=1e-12, **sim)
+    return 0.5 * CoupledDynamics(system, gains, NO_FORCE, NO_NOISE, probe).cap
+
+
 def homogeneous_run(gains, a1=0.01, N=3, T=6.0):
+    # an undamped M has max Re eig 0, refused with dt unset
     params = BeamParams.dimensionless(a1=a1)
     system = assemble(params, N, PATCH)
-    cfg = SimConfig(t_final=T, seed=12)
+    cfg = SimConfig(t_final=T, dt=half_cap(system, gains), seed=12)
     return system, simulate(system, gains, NO_FORCE, NO_NOISE, cfg)
 
 
@@ -385,7 +422,7 @@ def test_divergence_raises():
     system = assemble(PARAMS, 2, PATCH)
     bad = unstable_gains(system)
     # growth rate ~ 192: overflow near t = 709 / 192, well inside the horizon
-    cfg = SimConfig(t_final=10.0, seed=1)
+    cfg = SimConfig(t_final=10.0, dt=half_cap(system, bad), seed=1)
     with pytest.raises(DivergenceError) as err:
         simulate(system, bad, NO_FORCE, NO_NOISE, cfg)
     assert err.value.step >= 1
@@ -395,7 +432,7 @@ def test_divergence_raises():
 def test_divergence_step_matches_sequential_oracle():
     system = assemble(PARAMS, 2, PATCH)
     bad = unstable_gains(system)
-    cfg = SimConfig(t_final=10.0, seed=1)
+    cfg = SimConfig(t_final=10.0, dt=half_cap(system, bad), seed=1)
     dyn = CoupledDynamics(system, bad, NO_FORCE, NO_NOISE, cfg)
     dt = dyn.dt
     with warnings.catch_warnings():
@@ -408,7 +445,7 @@ def test_divergence_step_matches_sequential_oracle():
     first_bad = None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            x = dyn.step(x, i * dt)
+            x = pointwise_step(dyn, NO_FORCE, x, i * dt)
             if not np.all(np.isfinite(x)):
                 first_bad = i + 1
                 break
@@ -553,8 +590,7 @@ def scalar_residual_mode(params, k, harmonics, t_final=None, dt=None,
 
 
 def damped_omega(k, model):
-    from piezobeam.analysis import _damped_freq
-    return _damped_freq(PARAMS, k, model)
+    return float(resonant_frequencies(PARAMS, [k], model)[0])
 
 
 @pytest.mark.parametrize("k, model, harmonics", [
