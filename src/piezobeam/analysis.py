@@ -174,11 +174,14 @@ def residual_tail_study(params, f0, n_values, R, regime,
     worst-case content for which the per-mode bound is attained.  Responses
     scale linearly in the amplitude, so each mode is integrated once at
     unit amplitude and rescaled.  ``slope`` is the log-log fit of the tail
-    sum against N.
+    sum against N, so ``n_values`` must hold at least two distinct N.
     """
     if regime not in ("uniform", "smooth"):
         raise ValueError(f"unknown tail regime {regime!r}")
     n_values = np.asarray(sorted(n_values), dtype=int)
+    if len(set(n_values.tolist())) < 2:
+        raise ValueError("the tail slope needs at least two distinct N, "
+                         f"got {n_values.tolist()}")
     needed = sorted({
         int(k) for N in n_values for k in range(N + 1, N + R + 1)
     })

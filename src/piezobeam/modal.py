@@ -155,7 +155,7 @@ def _coupled_block(params, placement, modes, model):
     """A, B, C of ``modes``: oscillators, patch gains, sensor mode shapes."""
     A = oscillator_matrix(params, modes, model)
     B = np.zeros(2 * len(modes))
-    B[len(modes):] = [actuator_gain(n, placement) for n in modes]
+    B[len(modes):] = actuator_gain(modes, placement)
     psi = SQRT2 * sin_pi(modes * placement.x0)
     C = np.concatenate([placement.s1 * psi, placement.s2 * psi])
     return A, B, C

@@ -36,6 +36,9 @@ ZERO_TOL = 1e-9
 # disagree due to rounding; disagreements inside it downgrade to a warning,
 # outside it they raise InternalConsistencyError.
 ILL_COND_BAND = (1e-13, 1e-5)
+# A tuned gain's closed-loop spectrum must meet its targets to this,
+# relative to the largest target magnitude.
+PLACE_TOL = 1e-6
 
 
 @dataclass
@@ -146,17 +149,31 @@ def check_placement(system):
 # ---------------------------------------------------------------------------
 
 def _check_conjugate_symmetric(targets, n):
-    targets = np.atleast_1d(np.asarray(targets, dtype=complex))
-    if targets.shape != (n,):
+    """Targets as a complex (n,) or (G, n) array; every row must be closed
+    under conjugation.
+
+    Per row, the poles above the real axis and those below it are each
+    sorted by (Re, |Im|) rounded to 1e-9 and must pair up as conjugates to
+    1e-9 of max(1, max |target|).  All rows are sorted in one lexsort, with
+    the side (above, below, on the axis) as the leading key.
+    """
+    targets = np.asarray(targets, dtype=complex)
+    if targets.ndim == 0:
+        targets = targets.reshape(1)
+    if targets.ndim > 2 or targets.shape[-1] != n:
         raise ValueError(f"expected {n} target poles, got {targets.shape}")
-    halves = []
-    for side in (targets[targets.imag > 1e-9], targets[targets.imag < -1e-9]):
-        keys = np.round(side.real, 9), np.round(np.abs(side.imag), 9)
-        halves.append(side[np.lexsort(keys[::-1])])
-    plus, minus = halves
-    scale = max(1.0, float(np.max(np.abs(targets))))
-    if len(plus) != len(minus) or np.any(
-            np.abs(plus - minus.conj()) > 1e-9 * scale):
+    rows = targets.reshape(-1, n)
+    side = np.where(rows.imag > 1e-9, 0, np.where(rows.imag < -1e-9, 1, 2))
+    ordered = np.take_along_axis(rows, np.lexsort(
+        (np.round(np.abs(rows.imag), 9), np.round(rows.real, 9), side)),
+        axis=1)
+    plus, minus = (np.sum(side == k, axis=1, keepdims=True) for k in (0, 1))
+    k = np.arange(n)
+    # the k-th pole above the axis against the k-th one below it
+    below = np.take_along_axis(ordered, np.minimum(k + plus, n - 1), axis=1)
+    scale = np.maximum(1.0, np.max(np.abs(rows), axis=1, keepdims=True))
+    unpaired = (k < plus) & (np.abs(ordered - below.conj()) > 1e-9 * scale)
+    if np.any(plus != minus) or np.any(unpaired):
         raise ValueError("target poles must be closed under conjugation")
     return targets
 
@@ -184,7 +201,7 @@ def _ackermann(A, B, targets):
 
 @np.errstate(over="ignore", invalid="ignore")    # a non-finite K is refused
 def place_poles(A, B, targets):
-    """Single-input gain K with eig(A - B K) = targets.
+    """Single-input gain K with eig(A - B K) = targets, for one or G sets.
 
     Solved in the eigenbasis of A: for distinct open-loop eigenvalues
     lambda_i and transformed input b_i, the modal gain is
@@ -197,18 +214,22 @@ def place_poles(A, B, targets):
     A vanishing b_i is exactly the PBH uncontrollability of mode i.  Falls
     back to Ackermann's formula if the open-loop spectrum is (near-)defective.
     A gain that still overflows raises SingularControllabilityError naming N.
+
+    ``targets`` of shape (n,) gives K of shape (n,); a (G, n) batch gives
+    (G, n) gains from one eigendecomposition, one solve and one inverse.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).reshape(-1)
     n = A.shape[0]
     targets = _check_conjugate_symmetric(targets, n)
+    rows = targets.reshape(-1, n)
 
     lam, V = np.linalg.eig(A)
     den = lam[:, None] - lam[None, :] + 0j
     gaps = np.abs(den) + np.eye(n)
     scale = max(1.0, float(np.max(np.abs(lam))))
     if np.min(gaps) < 1e-9 * scale:
-        K = _ackermann(A, B, targets)
+        K = np.array([_ackermann(A, B, t) for t in rows])
     else:
         bt = np.linalg.solve(V, B.astype(complex))
         dead = np.abs(bt) < 1e-13 * max(np.max(np.abs(bt)), 1e-300)
@@ -216,36 +237,42 @@ def place_poles(A, B, targets):
             raise SingularControllabilityError(
                 f"uncontrollable eigenvalue(s) {list(lam[dead])}"
             )
-        mu = np.empty(n, dtype=complex)
-        mu[np.lexsort((lam.real, lam.imag))] = targets[
-            np.lexsort((targets.real, targets.imag))]
+        mu = np.empty_like(rows)
+        mu[:, np.lexsort((lam.real, lam.imag))] = np.take_along_axis(
+            rows, np.lexsort((rows.real, rows.imag)), axis=1)
         np.fill_diagonal(den, bt)
-        f = np.prod((lam[:, None] - mu[None, :]) / den, axis=1)
+        f = np.prod((lam[:, None] - mu[:, None, :]) / den, axis=2)
         K = np.real(f @ np.linalg.inv(V))
     if not np.isfinite(K).all():
         raise SingularControllabilityError(
             f"pole placement overflowed to a non-finite gain at N = {n // 2}"
         )
-    return K
+    return K if targets.ndim == 2 else K[0]
 
 
 def place_observer_poles(A, C, targets):
-    """Observer gain L with eig(A - L C) = targets, by duality."""
+    """Observer gain L with eig(A - L C) = targets, by duality; a (G, n)
+    batch of target sets gives (G, n) gains."""
     return place_poles(np.asarray(A, dtype=float).T, np.asarray(C, dtype=float),
                        targets)
 
 
-def decay_rate(M):
-    """min |Re lambda| over the spectrum; requires a finite Hurwitz matrix."""
+def hurwitz_spectrum(M, name="matrix"):
+    """Eigenvalues of M; refuses a non-finite or non-Hurwitz M by ``name``."""
     if not np.isfinite(M).all():
-        raise UnstableMatrixError("matrix has non-finite entries")
+        raise UnstableMatrixError(f"{name} has non-finite entries")
     eigs = np.linalg.eigvals(M)
     worst = float(np.max(eigs.real))
     if worst >= 0.0:
         raise UnstableMatrixError(
-            f"matrix has eigenvalue with Re = {worst:.6g} >= 0"
+            f"{name} has eigenvalue with Re = {worst:.6g} >= 0"
         )
-    return float(np.min(np.abs(eigs.real)))
+    return eigs
+
+
+def decay_rate(M):
+    """min |Re lambda| over the spectrum; requires a finite Hurwitz matrix."""
+    return float(np.min(np.abs(hurwitz_spectrum(M).real)))
 
 
 def eigvec_condition(M):
@@ -261,6 +288,7 @@ def radial_pole_targets(A, lam):
     Keeps each mode's damped frequency and spreads the real parts over
     [-lam, -2*lam*(1 - 1/(2N))]: mode n (ordered by frequency) goes to
     -lam * (1 + (n-1)/N) +/- i Im(lambda_n).  min |Re| = lam by design.
+    A scalar rate gives (2N,) targets, a 1-D array of G rates (G, 2N).
     """
     eigs = np.linalg.eigvals(np.asarray(A, dtype=float))
     n = len(eigs)
@@ -269,8 +297,10 @@ def radial_pole_targets(A, lam):
     N = n // 2
     # |Im| appears twice per mode; sort the flat array and take every other
     ims = np.sort(np.abs(eigs.imag))[::2]
-    re = -lam * (1.0 + np.arange(N) / N)
-    return np.column_stack([re + 1j * ims, re - 1j * ims]).ravel()
+    lam = np.asarray(lam, dtype=float)
+    re = -lam[..., None] * (1.0 + np.arange(N) / N)
+    return np.stack([re + 1j * ims, re - 1j * ims], axis=-1).reshape(
+        *lam.shape, n)
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +320,35 @@ class GainSet:
     BK_norm: float
 
     @classmethod
-    def from_matrices(cls, system, K, L):
+    def from_matrices(cls, system, K, L, placed=None):
+        """Gains and summaries; both closed loops must be Hurwitz.
+
+        ``placed`` holds the (rate, target poles) that K and L were placed
+        at, in that order.  Each sorted closed-loop spectrum must then
+        match its sorted targets to PLACE_TOL relative to max |target|,
+        else NoFeasibleGainError names the matrix, the rate and the miss.
+        """
         K = np.asarray(K, dtype=float).reshape(-1)
         L = np.asarray(L, dtype=float).reshape(-1)
-        lam_K = decay_rate(system.A - np.outer(system.B, K))
-        lam_L = decay_rate(system.A - np.outer(L, system.C))
+        loops = (("A - BK", system.A - np.outer(system.B, K)),
+                 ("A - LC", system.A - np.outer(L, system.C)))
+        rates = []
+        for (name, M), (lam, want) in zip(loops, placed or [(None, None)] * 2):
+            if lam is not None:
+                name = f"{name} at lambda = {lam:g}"
+            eigs = hurwitz_spectrum(M, name)
+            if want is not None:
+                miss = float(np.max(np.abs(np.sort_complex(eigs)
+                                           - np.sort_complex(want)))
+                             / np.max(np.abs(want)))
+                if not miss <= PLACE_TOL:
+                    raise NoFeasibleGainError(
+                        f"{name} misses its target poles by {miss:.3g} "
+                        f"relative to max |target| (tolerance {PLACE_TOL:g})"
+                    )
+            rates.append(float(np.min(np.abs(eigs.real))))
         return cls(
-            K=K, L=L, lambda_K=lam_K, lambda_L=lam_L,
+            K=K, L=L, lambda_K=rates[0], lambda_L=rates[1],
             K_norm=float(np.linalg.norm(K)),
             L_norm=float(np.linalg.norm(L)),
             # ||B K|| of the rank-one product is exactly ||B|| ||K||
@@ -307,15 +359,17 @@ class GainSet:
 def tune_gains(system, F_bound, eps_bound, lambda_grid, lambda_L=None):
     """Pick (L, K) on a decay-rate grid by minimizing steady-state bounds.
 
-    For each candidate lambda the observer targets come from
-    ``radial_pole_targets(A, lambda)``; the selected lambda_L minimizes
-    (F_bound + ||L|| eps_bound) / lambda over the grid (first argmin wins).
-    Passing ``lambda_L`` pins the observer rate instead of tuning it.  The
-    controller then minimizes (F_bound + ||B K|| * e_st) / lambda over grid
-    values strictly below lambda_L, with e_st the observer's steady bound.
+    The observer targets for the whole grid come from
+    ``radial_pole_targets(A, grid)`` and are placed in one call; the
+    selected lambda_L minimizes (F_bound + ||L|| eps_bound) / lambda over
+    the grid (first argmin wins).  Passing ``lambda_L`` pins the observer
+    rate instead of tuning it.  The controller then minimizes
+    (F_bound + ||B K|| * e_st) / lambda over grid values strictly below
+    lambda_L, with e_st the observer's steady bound, again in one call.
 
-    Raises NoFeasibleGainError for an empty grid, a decay rate <= 0 or
-    when no grid value lies below lambda_L.
+    Raises NoFeasibleGainError for an empty grid, a decay rate <= 0, when
+    no grid value lies below lambda_L, or when a chosen gain's spectrum
+    misses its targets (``GainSet.from_matrices``).
     """
     grid = [float(g) for g in lambda_grid]
     if not grid and lambda_L is None:
@@ -327,18 +381,21 @@ def tune_gains(system, F_bound, eps_bound, lambda_grid, lambda_L=None):
         raise NoFeasibleGainError(f"lambda_L must be > 0, got {lambda_L}")
 
     def first_min(lams, place, vec, cost):
-        """(lam, gain) at the first minimum of (F_bound + cost(|gain|)) / lam."""
+        """(lam, gain, targets) at the first minimum of
+        (F_bound + cost(|gain|)) / lam, all of ``lams`` placed at once."""
+        targets = radial_pole_targets(system.A, lams)
+        gains = place(system.A, vec, targets)
         best = None
-        for lam in lams:
-            gain = place(system.A, vec, radial_pole_targets(system.A, lam))
-            bound = (F_bound + cost(np.linalg.norm(gain))) / lam
+        for i, lam in enumerate(lams):
+            bound = (F_bound + cost(np.linalg.norm(gains[i]))) / lam
             if best is None or bound < best[0] - 1e-15 * abs(best[0]):
-                best = (bound, lam, gain)
-        return best[1:]
+                best = (bound, i)
+        i = best[1]
+        return lams[i], gains[i], targets[i]
 
-    lam_L_used, L = first_min(grid if lambda_L is None else [float(lambda_L)],
-                              place_observer_poles, system.C,
-                              lambda norm: norm * eps_bound)
+    lam_L_used, L, L_targets = first_min(
+        grid if lambda_L is None else [float(lambda_L)],
+        place_observer_poles, system.C, lambda norm: norm * eps_bound)
     e_steady = (F_bound + np.linalg.norm(L) * eps_bound) / lam_L_used
 
     k_grid = [g for g in grid if g < lam_L_used]
@@ -347,6 +404,7 @@ def tune_gains(system, F_bound, eps_bound, lambda_grid, lambda_L=None):
             f"no grid value below lambda_L = {lam_L_used} for the controller"
         )
     B_norm = float(np.linalg.norm(system.B))
-    _, K = first_min(k_grid, place_poles, system.B,
-                     lambda norm: B_norm * norm * e_steady)
-    return GainSet.from_matrices(system, K, L)
+    lam_K, K, K_targets = first_min(k_grid, place_poles, system.B,
+                                    lambda norm: B_norm * norm * e_steady)
+    return GainSet.from_matrices(system, K, L, placed=(
+        (lam_K, K_targets), (lam_L_used, L_targets)))

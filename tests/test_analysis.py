@@ -196,6 +196,13 @@ def test_tail_study_slopes():
         residual_tail_study(PARAMS, 11.0, [2, 3], R=4, regime="bogus")
 
 
+@pytest.mark.parametrize("n_values", [[3], [3, 3], []])
+def test_tail_study_needs_two_distinct_N(n_values):
+    # a log-log slope through one point read 1.108 with a RankWarning
+    with pytest.raises(ValueError, match="at least two distinct N"):
+        residual_tail_study(PARAMS, 11.0, n_values, R=2, regime="uniform")
+
+
 # ---------------------------------------------------------------------------
 # performance metrics
 # ---------------------------------------------------------------------------

@@ -236,6 +236,26 @@ def test_pole_placement_reaches_N_60(tmp_path, capsys, N):
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9
 
 
+def test_tune_refuses_gains_that_miss_their_targets(tmp_path, capsys):
+    # the overdamped modes' eigenbasis is ill-conditioned: tune exited 0
+    # with lambda_L = 33.997 for a pinned 34
+    path = write_config(tmp_path, {"preset": "fig1", "beam": {"a1": 1000}})
+    assert main(["tune", "--config", path, "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert re.match(r"infeasible design: A - (BK|LC) at lambda = \d+ misses "
+                    r"its target poles by \S+ relative", err)
+    assert not (tmp_path / "fig1_gains.csv").exists()
+
+
+def test_unstable_tuned_loop_names_its_matrix(tmp_path, capsys):
+    # check passes this Kelvin-Voigt beam; tune's refusal named no matrix
+    path = write_config(tmp_path, {"preset": "fig1", "damping": "kelvin_voigt",
+                                   "beam": {"a1": 1000}})
+    assert main(["tune", "--config", path, "--out", str(tmp_path)]) == 3
+    assert re.match(r"infeasible design: A - BK at lambda = 30 has eigenvalue "
+                    r"with Re = \S+ >= 0", capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("data, code, line", [
     ({"damping": "kelvin_voigt", "beam": {"a1": 1000}}, 0,
      "observable:   True"),

@@ -84,9 +84,9 @@ def test_assemble_block_structure():
     np.testing.assert_allclose(np.diag(system.A[N:, N:]), -0.01 * s2,
                                rtol=1e-15)
     assert np.all(system.B[:N] == 0.0)
-    np.testing.assert_allclose(
-        system.B[N:],
-        [actuator_gain(n, PATCH) for n in range(1, N + 1)], rtol=1e-15)
+    # one array expression, bit for bit the scalar gains
+    np.testing.assert_array_equal(
+        system.B[N:], [actuator_gain(n, PATCH) for n in range(1, N + 1)])
 
 
 def test_assemble_sensor_row_midpoint():

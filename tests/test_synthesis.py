@@ -13,6 +13,8 @@ from piezobeam.errors import (
     SingularControllabilityError,
     UnstableMatrixError,
 )
+from piezobeam import synthesis
+from piezobeam.config import resolve_config
 from piezobeam.modal import DampingModel, Placement, assemble
 from piezobeam.signals import NoiseSpec, build_disturbance
 from piezobeam.simulate import CoupledDynamics, SimConfig
@@ -22,6 +24,7 @@ from piezobeam.synthesis import (
     check_placement,
     decay_rate,
     eigvec_condition,
+    hurwitz_spectrum,
     place_observer_poles,
     place_poles,
     radial_pole_targets,
@@ -234,7 +237,7 @@ def _conjugate_symmetric_reference(targets, n):
 
 def _accepts(check, targets):
     try:
-        check(targets, len(targets))
+        check(targets, np.shape(targets)[-1])
     except ValueError:
         return False
     return True
@@ -262,8 +265,12 @@ def target_sets(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(target_sets())
 def test_conjugate_check_matches_the_interpreted_reference(targets):
-    assert (_accepts(_check_conjugate_symmetric, targets)
-            == _accepts(_conjugate_symmetric_reference, targets))
+    accepted = _accepts(_conjugate_symmetric_reference, targets)
+    assert _accepts(_check_conjugate_symmetric, targets) == accepted
+    # as one row of a batch whose other rows are real, hence closed
+    real = np.full(len(targets), -1.0 + 0j)
+    batch = np.stack([real, targets, real])
+    assert _accepts(_check_conjugate_symmetric, batch) == accepted
 
 
 def test_defective_spectrum_falls_back_to_ackermann():
@@ -275,6 +282,51 @@ def test_defective_spectrum_falls_back_to_ackermann():
     np.testing.assert_allclose(got, [-1 - 1j, -1 + 1j], rtol=1e-10)
 
 
+GRID = np.array([6.0, 10.0, 14.0, 18.0, 24.0, 30.0])
+
+
+def _batch_cases():
+    """(A, input vector, (G, n) targets) of one plant each."""
+    system = assemble(PARAMS, 4, PATCH)
+    targets = radial_pole_targets(system.A, GRID)
+    double = np.array([[0.0, 1.0], [0.0, 0.0]])     # defective: Ackermann
+    return [
+        pytest.param(system.A, system.B, targets, id="controller"),
+        pytest.param(system.A.T, system.C, targets, id="observer"),
+        pytest.param(double, np.array([0.0, 1.0]),
+                     np.array([[-1 + 1j, -1 - 1j], [-2.0, -3.0],
+                               [-4 + 0.5j, -4 - 0.5j]]), id="ackermann"),
+    ]
+
+
+@pytest.mark.parametrize("A, vec, targets", _batch_cases())
+def test_batch_placement_equals_row_by_row(A, vec, targets):
+    batch = place_poles(A, vec, targets)
+    assert batch.shape == targets.shape
+    for gain, row in zip(batch, targets):
+        one = place_poles(A, vec, row)
+        np.testing.assert_allclose(gain, one, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(one)))
+        assert rel_spectrum_error(
+            np.linalg.eigvals(A - np.outer(vec, gain)), row) < 1e-8
+
+
+def test_batch_with_one_bad_row_is_refused():
+    system = assemble(PARAMS, 2, PATCH)
+    targets = radial_pole_targets(system.A, GRID)
+    targets[3, 0] += 1j                 # row 3 is no longer conjugate-closed
+    with pytest.raises(ValueError, match="closed under conjugation"):
+        place_poles(system.A, system.B, targets)
+
+
+def test_radial_targets_of_a_rate_array_stack_the_scalar_calls():
+    system = assemble(PARAMS, 5, PATCH)
+    np.testing.assert_array_equal(
+        radial_pole_targets(system.A, GRID),
+        np.stack([radial_pole_targets(system.A, lam) for lam in GRID]))
+    assert radial_pole_targets(system.A, 6.0).shape == (10,)
+
+
 def test_observer_duality():
     system = assemble(PARAMS, 2, PATCH)
     targets = radial_pole_targets(system.A, 10.0)
@@ -283,6 +335,11 @@ def test_observer_duality():
     np.testing.assert_array_equal(L, K_dual)
     assert rel_spectrum_error(
         np.linalg.eigvals(system.A - np.outer(L, system.C)), targets) < 1e-8
+    # a batch of target sets passes through as well
+    batch = radial_pole_targets(system.A, GRID)
+    np.testing.assert_array_equal(
+        place_observer_poles(system.A, system.C, batch),
+        place_poles(system.A.T, system.C, batch))
 
 
 def test_observer_rate_34():
@@ -323,6 +380,14 @@ def test_decay_rate_diagonal():
 def test_decay_rate_rotation():
     M = np.array([[-2.0, 5.0], [-5.0, -2.0]])
     assert decay_rate(M) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_unstable_spectrum_is_refused_by_name():
+    with pytest.raises(UnstableMatrixError,
+                       match=r"^A - LC has eigenvalue with Re = 0\.5 >= 0$"):
+        hurwitz_spectrum(np.diag([-1.0, 0.5]), "A - LC")
+    with pytest.raises(UnstableMatrixError, match="^A - BK has non-finite"):
+        hurwitz_spectrum(np.diag([-1.0, np.nan]), "A - BK")
 
 
 def test_decay_rate_rejects_unstable():
@@ -408,6 +473,44 @@ def test_gainset_from_matrices():
     assert gains.lambda_L == pytest.approx(20.0, abs=1e-7)
     assert gains.K_norm == pytest.approx(np.linalg.norm(K), rel=1e-14)
     assert gains.L_norm == pytest.approx(np.linalg.norm(L), rel=1e-14)
+
+
+def test_gainset_refuses_a_spectrum_that_misses_its_targets():
+    system = assemble(PARAMS, 2, PATCH)
+    want_K = radial_pole_targets(system.A, 8.0)
+    want_L = radial_pole_targets(system.A, 20.0)
+    K = place_poles(system.A, system.B, want_K)
+    L = place_observer_poles(system.A, system.C, want_L)
+    gains = GainSet.from_matrices(system, K, L,
+                                  placed=((8.0, want_K), (20.0, want_L)))
+    assert gains.lambda_K == pytest.approx(8.0, abs=1e-7)
+    moved = want_L * (1 + 1e-5)
+    with pytest.raises(NoFeasibleGainError,
+                       match=r"^A - LC at lambda = 20 misses its target "
+                             r"poles by 1e-05 relative"):
+        GainSet.from_matrices(system, K, L,
+                              placed=((8.0, want_K), (20.0, moved)))
+
+
+@pytest.mark.parametrize("lambda_L, batches", [
+    (34.0, [1, 6]),         # the default: lambda_L pinned, 6-value grid
+    (None, [6, 5]),         # lambda_L tuned to 30, the grid's largest
+], ids=["pinned", "tuned"])
+def test_tune_places_each_side_in_one_call(monkeypatch, lambda_L, batches):
+    # the benchmark counts calls through this global (synthesis.place_calls)
+    cfg = resolve_config({"preset": "fig1", "gains": {"lambda_L": lambda_L}})
+    system = cfg.build_system()
+    calls = []
+
+    def counted(A, B, targets):
+        calls.append(np.shape(targets))
+        return place(A, B, targets)
+
+    place = synthesis.place_poles
+    monkeypatch.setattr(synthesis, "place_poles", counted)
+    gains = cfg.build_gains(system)
+    assert calls == [(g, 2 * system.N) for g in batches]
+    assert gains.lambda_L == pytest.approx(lambda_L or 30.0, rel=1e-9)
 
 
 def test_eigvec_condition_normal_matrix():
