@@ -224,7 +224,8 @@ def performance_metrics(result):
 
     The steady window is the final 20% of the horizon; the run must be long
     enough that the window starts after ten controller decay times
-    (10 / lambda_K), else ConfigError.  The steady band is mean + 3 std of
+    (10 / lambda_K, or 10 over the open-loop decay rate of A without
+    gains), else ConfigError.  The steady band is mean + 3 std of
     ||e|| over the window; settling time is the first time ||e|| enters and
     stays within twice that band.  The attenuation ratio divides the steady
     mean of ||z|| by ``result.force_sup``, the sup of the modal force
@@ -232,11 +233,14 @@ def performance_metrics(result):
     """
     t_final = result.t[-1]
     gains = result.gains
-    lam = gains.lambda_K if gains is not None else decay_rate(result.system.A)
+    if gains is not None:
+        lam, rate = gains.lambda_K, "lambda_K"
+    else:
+        lam, rate = decay_rate(result.system.A), "the open-loop decay rate"
     if 0.8 * t_final < 10.0 / lam:
         raise ConfigError(
             f"horizon {t_final:.3g} too short: steady window begins before "
-            f"10 / lambda_K = {10.0 / lam:.3g}"
+            f"10 / {rate} = {10.0 / lam:.3g}"
         )
 
     tail = slice(int(math.ceil(0.8 * (len(result.t) - 1))), None)

@@ -92,7 +92,8 @@ KEYS = {
     "gains.L": ("list?", None),
     "sim.t_final": ("float", 12.0),
     "sim.dt": ("float?", 2.5e-4),
-    # M has 4N + 2R dense rows, decomposed once per run
+    # eig(M) decomposes all 4N + 2R rows once per run; undriven residual
+    # modes at rest stay 0 and are not stepped
     "sim.residual_modes": ("int", 5, (-inf, 200)),
     "sim.coupling": (Coupling, "truncated"),
     "sim.seed": ("int", 7),

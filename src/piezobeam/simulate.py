@@ -38,6 +38,11 @@ per harmonic).  ``simulate`` synthesizes one table per distinct harmonic
 set, so modes driven by the same comb share it; the residual-mode runs take
 each chunk's forcing from it at the chunk's grid offset.
 
+Only the states that X(0) and the forcing reach through the nonzeros of M
+are stepped.  That set is closed under M, so RK4 on its sub-block of M is
+exact, and the rest (an undriven residual mode at rest, under truncated
+coupling) stay 0.0.  The spectrum, cap, dt and history limit use all of M.
+
 An unstable M (max Re eig(M) >= 0) is refused before stepping when dt is
 unset; with dt given it is integrated, and a non-finite state ends the
 run with a DivergenceError.
@@ -236,6 +241,10 @@ class CoupledDynamics:
     ``config.dt``, or half the cap when unset; a dt above the cap is a
     ConfigError, and an unset dt on an M with max Re eig(M) >= 0 is an
     UnstableMatrixError.  A noise spec without a hold gets ten steps.
+
+    ``live`` lists, in order, the states that X(0) = ``x0`` and the forcing
+    G reach through the nonzeros of M; ``rk4`` propagates M and G
+    restricted to them.  Every other state stays exactly 0.
     """
 
     def __init__(self, system, gains, disturbance, noise, config):
@@ -299,7 +308,15 @@ class CoupledDynamics:
         for j, k in enumerate(residual, len(retained)):
             G[3 * N + R + k - 1, j] = a2
         G[e, -1] = -self.L
-        self.rk4 = RK4(M, G, self.dt)
+        self.G = G
+
+        self.x0 = self.initial_state(config)
+        reached, grown = None, (self.x0 != 0.0) | G.any(axis=1)
+        while not np.array_equal(grown, reached):
+            reached = grown
+            grown = reached | (M[:, reached] != 0.0).any(axis=1)
+        self.live = np.flatnonzero(reached)
+        self.rk4 = RK4(M[np.ix_(self.live, self.live)], G[self.live], self.dt)
 
     def initial_state(self, config):
         """X(0) = [z0, z0 - z_hat0, residual0]."""
@@ -328,16 +345,29 @@ class CoupledDynamics:
         return x
 
 
+def _states(X, live, lo, hi):
+    """History of states lo..hi-1 from the history X of the ``live`` states:
+    a view of X when all are reached, else zeros with the reached columns
+    copied in."""
+    a, b = np.searchsorted(live, [lo, hi])
+    if b - a == hi - lo:
+        return X[:, a:b]
+    out = np.zeros((len(X), hi - lo))
+    out[:, live[a:b] - lo] = X[:, a:b]
+    return out
+
+
 def simulate(system, gains, disturbance, noise, config):
-    """Integrate the coupled system over [0, t_final] and collect histories."""
+    """Integrate the coupled system over [0, t_final] and collect histories;
+    states outside ``CoupledDynamics.live`` come back as exact zeros."""
     dyn = CoupledDynamics(system, gains, disturbance, noise, config)
-    N, dt = dyn.N, dyn.dt
+    N, dt, live = dyn.N, dyn.dt, dyn.live
 
     n_steps = _step_count(config.t_final, dt, dyn.dim)
     t = np.arange(n_steps + 1) * dt
 
-    X = np.empty((n_steps + 1, dyn.dim))
-    X[0] = dyn.initial_state(config)
+    X = np.empty((n_steps + 1, live.size))
+    X[0] = dyn.x0[live]
 
     # channel values on the half-step grid: stage times of step i are
     # 2i, 2i+1, 2i+2, so t[i] == half_times[2i].  Modes with the same
@@ -363,18 +393,19 @@ def simulate(system, gains, disturbance, noise, config):
             step = i0 + int(np.argmin(finite))   # row i is the state at step i
             raise DivergenceError(step, step * dt)
 
-    z = X[:, : 2 * N]
-    e = X[:, 2 * N : 4 * N]
-    res = X[:, 4 * N :]
+    z = _states(X, live, 0, 2 * N)
+    e = _states(X, live, 2 * N, 4 * N)
+    res = _states(X, live, 4 * N, dyn.dim)
+    a, b = np.searchsorted(live, [4 * N, dyn.dim])   # reached residual states
     z_hat = z - e
     V = -(z_hat @ dyn.K)
-    y = z @ system.C + res @ dyn.block.C + xi
+    y = z @ system.C + X[:, a:b] @ dyn.block.C[live[a:b] - 4 * N] + xi
 
     return SimulationResult(
         t=t, z=z, z_hat=z_hat, e=e, residual=res, V=V, y=y,
         norm_e=np.linalg.norm(e, axis=1),
         norm_z=np.linalg.norm(z, axis=1),
-        norm_residual=np.linalg.norm(res, axis=1),
+        norm_residual=np.linalg.norm(X[:, a:b], axis=1),
         force_sup=force_sup, dt=dt, system=system, gains=gains,
         disturbance=disturbance, noise=dyn.noise, config=config,
     )

@@ -336,6 +336,18 @@ def test_simulate_row_count_and_header(tmp_path, capsys):
     assert len(csv) == 1 + int(round(0.4 / 5e-4)) + 1   # header + T/dt + 1
 
 
+def test_open_loop_metrics_name_the_open_loop_decay_rate(tmp_path, capsys):
+    # no controller, so no lambda_K: the window waits 10 / decay_rate(A)
+    path = write_config(tmp_path, {"preset": "fig1",
+                                   "gains": {"strategy": "none"},
+                                   "sim": {"t_final": 1}})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert ("metrics skipped: horizon 1 too short: steady window begins "
+            "before 10 / the open-loop decay rate = 203\n") in out
+    assert "lambda_K" not in out
+
+
 def test_tune_command_writes_gains(tmp_path, capsys):
     path = write_config(tmp_path, {"preset": "fig1", **fast_sim_overrides()})
     assert main(["tune", "--config", path, "--out", str(tmp_path)]) == 0

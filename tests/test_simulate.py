@@ -9,6 +9,7 @@ import pytest
 
 from oracles import static_gain
 from piezobeam.beam import BeamParams
+from piezobeam.config import resolve_config
 from piezobeam.errors import ConfigError, DivergenceError, UnstableMatrixError
 from piezobeam.modal import (
     DampingModel,
@@ -26,11 +27,13 @@ from piezobeam.signals import (
     tail_disturbance,
 )
 from piezobeam.simulate import (
+    RK4,
     CoupledDynamics,
     Coupling,
     SimConfig,
     simulate,
     simulate_residual_mode,
+    stability_cap,
 )
 from piezobeam.synthesis import (
     GainSet,
@@ -187,6 +190,116 @@ def test_stored_error_identity():
     assert np.all(np.isfinite(res.z))
     np.testing.assert_allclose(res.norm_e, np.linalg.norm(res.e, axis=1),
                                rtol=0, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# reached-state propagation
+# ---------------------------------------------------------------------------
+
+# N 20, R 60, the patch and sensor of the benchmark's wide run
+WIDE = {"N": 20, "placement": {"x2": 0.1037, "x0": 0.0951},
+        "sim": {"dt": None, "t_final": 0.002, "residual_modes": 60}}
+
+
+def full_state_run(dyn, dist, cfg, n):
+    """Reference: the whole X stepped by one RK4 on the full M and G, with
+    the channels evaluated pointwise."""
+    X = np.empty((n + 1, dyn.dim))
+    X[0] = dyn.initial_state(cfg)
+    c = channel_values(dyn, dist, np.arange(2 * n + 1) * (dyn.dt / 2))
+    return RK4(dyn.M, dyn.G, dyn.dt).run(X, c)
+
+
+def with_sim(data, **sim):
+    return {**data, "sim": {**data.get("sim", {}), **sim}}
+
+
+def built(data):
+    """(config, system, gains) of a config mapping."""
+    config = resolve_config(data)
+    system = config.build_system()
+    return config, system, config.build_gains(system)
+
+
+FIG1 = {"preset": "fig1", "sim": {"t_final": 0.1}}
+
+
+@pytest.mark.parametrize("data, reached", [
+    (FIG1, 12),                                     # plant and observer error
+    (WIDE, 80),
+    (with_sim(FIG1, residual0=[0, 0.1] + [0] * 8), 14),   # mode 5 joins
+    ({**FIG1, "disturbance": {"driven_modes": 5}}, 16),   # modes 4 and 5
+    (with_sim(FIG1, coupling="full", dt=5e-5), 22),
+    ({**with_sim(FIG1, z0=[0.1, -0.2, 0.0, 0.3, 0.4, 0.0]),   # mode 3 at rest
+      "gains": {"strategy": "none"}, "disturbance": {"driven_modes": 2}}, 8),
+], ids=["fig1", "wide", "residual0", "driven", "full", "open_loop"])
+def test_reached_states_match_the_full_state_run(data, reached):
+    config, system, gains = built(data)
+    dist, cfg = config.disturbance, config.sim
+    res = simulate(system, gains, dist, config.noise, cfg)
+    dyn = CoupledDynamics(system, gains, dist, config.noise, cfg)
+    assert dyn.live.size == reached
+
+    X = np.concatenate([res.z, res.e, res.residual], axis=1)
+    expect = full_state_run(dyn, dist, cfg, len(res.t) - 1)
+    np.testing.assert_allclose(X, expect, rtol=0,
+                               atol=1e-11 * np.max(np.abs(expect)))
+    unreached = np.setdiff1d(np.arange(dyn.dim), dyn.live)
+    assert np.all(X[:, unreached] == 0.0)
+    assert np.all(expect[:, unreached] == 0.0)
+    res_expect = expect[:, 4 * dyn.N:]
+    np.testing.assert_allclose(res.norm_residual,
+                               np.linalg.norm(res_expect, axis=1),
+                               rtol=0, atol=1e-11 * np.max(np.abs(expect)))
+    np.testing.assert_allclose(
+        res.y, expect[:, :2 * dyn.N] @ system.C + res_expect @ dyn.block.C
+        + noise_samples(res.noise, res.t),
+        rtol=0, atol=1e-11 * np.max(np.abs(expect)))
+
+
+def test_residual0_adds_exactly_its_mode():
+    # residual0 is (w_4..w_8, w_4'..w_8'): its second entry is w_5
+    config, system, gains = built(with_sim(FIG1, residual0=[0, 0.1] + [0] * 8))
+    dyn = CoupledDynamics(system, gains, config.disturbance, config.noise,
+                          config.sim)
+    np.testing.assert_array_equal(dyn.live, [*range(12), 12 + 1, 12 + 5 + 1])
+
+
+def test_spectrum_cap_and_dt_come_from_the_full_operator():
+    config, system, gains = built(WIDE)
+    dyn = CoupledDynamics(system, gains, config.disturbance, config.noise,
+                          config.sim)
+    assert dyn.dim == 200 and dyn.live.size == 80
+    spectrum = np.linalg.eigvals(dyn.M)
+    np.testing.assert_array_equal(dyn.spectrum, spectrum)
+    assert dyn.cap == stability_cap(spectrum)
+    assert dyn.dt == 0.5 * stability_cap(spectrum)
+    with pytest.raises(ConfigError, match=f"stability cap {dyn.cap:.3e} "):
+        simulate(system, gains, config.disturbance, config.noise,
+                 replace(config.sim, dt=2.0 * dyn.cap))
+
+
+def test_history_limit_counts_every_state():
+    # about 1e5 steps: 8e6 values of the 80 reached states, 2e7 of all 200
+    config, system, gains = built(with_sim(WIDE, t_final=0.25))
+    with pytest.raises(ConfigError, match="200-state history exceeds"):
+        simulate(system, gains, config.disturbance, config.noise, config.sim)
+
+
+def test_wide_run_keeps_only_the_reached_history():
+    config, system, gains = built(with_sim(WIDE, t_final=0.01))
+    tracemalloc.start()
+    try:
+        res = simulate(system, gains, config.disturbance, config.noise,
+                       config.sim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # in columns of the history: 80 reached states, the 120 all-zero
+    # residual states and about 130 of post-processing temporaries; a
+    # 200-state history adds 120 more (about 420 in all)
+    assert np.all(res.residual == 0.0)
+    assert peak < 375 * 8 * len(res.t), peak / (8 * len(res.t))
 
 
 # ---------------------------------------------------------------------------
