@@ -85,9 +85,10 @@ class ResidualReport:
     The per-mode bound is a2 ||f_k|| / (a1 pi^2 k^2).  Summing a uniform
     envelope ||f_k|| <= f0 over k > N gives a2 f0 / (a1 pi^2 (N+1)); the
     smooth envelope f0 / k^2 gives a2 f0 / (3 a1 pi^2 (N+1)^3).  Simulated
-    per-mode amplitudes (sup of the (w, w') norm under resonant forcing,
-    where the bound is tight) and their fitted k-exponent are attached when
-    the simulation pass ran.
+    per-mode amplitudes (sup of the (w, w') norm over the settled states
+    of the RK4 recurrence, solved exactly, under resonant forcing, where
+    the bound is tight) and their fitted k-exponent are attached when the
+    simulation pass ran.
     """
 
     N: int
@@ -104,10 +105,11 @@ def residual_bounds(params, f0, N, K_max, damping_model=DampingModel.STRUCTURAL,
     """Residual bounds for modes N+1..K_max plus a simulated decay-fit.
 
     Requires a1 > 0 (else ConfigError), f0 >= 0 and K_max > N.  The decay
-    exponent comes from fitting log sup-amplitude against log k over RK4
-    runs of each residual mode driven at its own resonant frequency with
-    amplitude f0; the structural damping model makes that exponent
-    approach -2.  A single residual mode gives no exponent.
+    exponent comes from fitting log sup-amplitude against log k over the
+    RK4 grids of each residual mode driven at its own resonant frequency
+    with amplitude f0 (``simulate_residual_mode``: the RK4 recurrence
+    solved in closed form); the structural damping model makes that
+    exponent approach -2.  A single residual mode gives no exponent.
     """
     if not params.a1 > 0.0:
         raise ConfigError(f"beam.a1 must be > 0 for residual bounds "

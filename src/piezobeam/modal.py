@@ -132,24 +132,6 @@ class ModalSystem:
     def modes(self):
         return np.arange(1, self.N + 1)
 
-    def modal_energy(self, z):
-        """Energy (1/2) sum(w_n'^2 + sigma_n^4 w_n^2) of state(s) z.
-
-        Accepts a single 2N state or an array of states in the last axis
-        convention (..., 2N).
-        """
-        z = np.asarray(z, dtype=float)
-        w = z[..., : self.N]
-        wd = z[..., self.N :]
-        return 0.5 * np.sum(wd**2 + _stiffness(self.modes) * w**2, axis=-1)
-
-    def dissipation(self, z):
-        """Instantaneous dissipation sum(d_n w_n'^2) >= 0 of state(s) z."""
-        z = np.asarray(z, dtype=float)
-        wd = z[..., self.N :]
-        d = damping_coefficients(self.params, self.modes, self.damping_model)
-        return np.sum(d * wd**2, axis=-1)
-
 
 def _coupled_block(params, placement, modes, model):
     """A, B, C of ``modes``: oscillators, patch gains, sensor mode shapes."""

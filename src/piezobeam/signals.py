@@ -158,17 +158,17 @@ def modal_force(spec, n, t):
     return total if total.ndim else float(total)
 
 
-def cosine_sum_grid(harmonics, h, count, offset=0):
-    """sum_j a_j cos(w_j t_i + p_j) on the grid t_i = (offset + i) h, i < count.
+def cosine_sum_grid(harmonics, h, count):
+    """sum_j a_j cos(w_j t_i + p_j) on the grid t_i = i h, i < count.
 
     ``harmonics`` holds (a_j, w_j, p_j) triples.  With i = q B + r and
     B ~ sqrt(count), angle addition splits every term into a coarse angle
-    at (offset + q B) h and a fine one at r h:
+    at q B h and a fine one at r h:
 
         sum_j a_j cos(w_j t_i + p_j)
             = sum_j [a_j cos(c_qj), -a_j sin(c_qj)] . [cos(w_j r h), sin(w_j r h)]
 
-    with c_qj = w_j (offset + q B) h + p_j, so the whole grid is one
+    with c_qj = w_j q B h + p_j, so the whole grid is one
     (Q x 2H) @ (2H x B) product over O(sqrt(count) H) cos/sin calls.  The
     angles are rounded as in a pointwise evaluation, about eps w t each.
     """
@@ -177,7 +177,7 @@ def cosine_sum_grid(harmonics, h, count, offset=0):
         return np.zeros(count)
     B = math.isqrt(count)
     Q = -(-count // B)
-    coarse = np.outer((offset + B * np.arange(Q)) * h, om) + ph
+    coarse = np.outer(B * np.arange(Q) * h, om) + ph
     fine = np.outer(om, np.arange(B) * h)
     table = np.hstack([a * np.cos(coarse), -a * np.sin(coarse)]) @ \
         np.vstack([np.cos(fine), np.sin(fine)])

@@ -29,14 +29,11 @@ with matrices R, P* that are polynomials in dt*M, precomputed once.  This
 is algebraically classical RK4.  Over a horizon it is a linear recurrence
 with a constant matrix, so ``RK4.run`` evaluates it as a blocked scan: the
 forcing of every step in a few GEMMs, then blocks of b steps advanced side
-by side, with the block starts carried by R^b.  The coupled simulation and
-the single-mode residual runs share that engine.
-
-Both take their forcing on the uniform half-step grid from one kernel,
-``signals.cosine_sum_grid`` (angle addition: O(sqrt(count)) cos/sin calls
-per harmonic).  ``simulate`` synthesizes one table per distinct harmonic
-set, so modes driven by the same comb share it; the residual-mode runs take
-each chunk's forcing from it at the chunk's grid offset.
+by side, with the block starts carried by R^b.  The coupled simulation
+takes its forcing on the half-step grid from ``signals.cosine_sum_grid``
+(angle addition: O(sqrt(count)) cos/sin calls per harmonic), one table per
+distinct harmonic set.  The single-mode residual runs use the same R1 and
+P*G, but solve the recurrence in closed form on the states they keep.
 
 Only the states that X(0) and the forcing reach through the nonzeros of M
 are stepped.  That set is closed under M, so RK4 on its sub-block of M is
@@ -64,8 +61,8 @@ from .signals import modal_force  # noqa: F401
 DT_REAL_FACTOR = 0.1      # dt <= 0.1 / max |Re lambda|
 DT_IMAG_FACTOR = 2 * math.pi / 20.0  # >= 20 steps per fastest period
 
-# Rows per chunk when assembling forcing, checking finiteness and streaming
-# residual-mode runs: bounds the temporaries whatever the horizon.
+# Rows per chunk when assembling forcing, checking finiteness and evaluating
+# residual-mode states: bounds the temporaries whatever the horizon.
 CHUNK_ROWS = 1 << 14
 
 # Most states (n + 1) x dim of one run: 128 MiB of floats, above 192k steps
@@ -417,11 +414,18 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
     """RK4 of a single uncontrolled mode; returns steady-state amplitude sups.
 
     Integrates w'' + d_k w' + sigma_k^4 w = a2 * sum_j A_j cos(om_j t + ph_j)
-    from rest and records sup |(w, w')| and sup |w| after ``settle_time``
-    (default: 12 decay times).  Used by the spillover decay studies, where
-    a 2-state run beats assembling a large coupled system.  The horizon is
-    streamed through ``RK4.run`` in chunks of CHUNK_ROWS steps, so memory
-    does not grow with it; its step count has the same limit as a history.
+    from rest and records sup |(w, w')| and sup |w| over the states after
+    the steps i with i dt >= ``settle_time`` (default: 12 decay times).  Its
+    step count has the same limit as a history.  The steps are not taken:
+    a harmonic a cos(om t + ph) forces the RK4 recurrence x+ = R1 x + u_i
+    with u_i = Re(w z^i), z = q^2, q = e^(i om dt/2) and
+    w = a e^(i ph) (P1G + q P23G + q^2 P4G), whose solution from rest is
+
+        x_i = sum Re(X z^i) - R1^i v,   X = (z I - R1)^-1 w,  v = sum Re(X).
+
+    The kept states are evaluated CHUNK_ROWS at a time, R1^i v by doubling
+    from a slice's first row: with no eigenbasis, a critically damped mode
+    (R1 defective) needs no special case.
     """
     M = oscillator_matrix(params, [k], damping_model)
     d = -M[1, 1]
@@ -439,21 +443,30 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
         dt = min(DT_IMAG_FACTOR / om_max / 2.0, DT_REAL_FACTOR / max(d, rate))
 
     rk4 = RK4(M, np.array([[0.0], [params.a2]]), dt)
+    R1 = rk4.R1
     n = _step_count(t_final, dt, 2)
-    X = np.empty((CHUNK_ROWS + 1, 2))
-    x = np.zeros(2)
-    sup_state = 0.0
-    sup_disp = 0.0
-    for i0 in range(0, n, CHUNK_ROWS):
-        i1 = min(i0 + CHUNK_ROWS, n)
-        f = cosine_sum_grid(harmonics, dt / 2.0, 2 * (i1 - i0) + 1,
-                            offset=2 * i0)[:, None]
-        X[0] = x
-        Xc = rk4.run(X[: i1 - i0 + 1], f)
-        x = Xc[-1].copy()
-        # row 1 + j is the state after step i0 + j, kept from i dt >= settle
-        settled = Xc[1:][np.arange(i0, i1) * dt >= settle_time]
-        if settled.size:
-            sup_state = max(sup_state, float(np.max(np.hypot(*settled.T))))
-            sup_disp = max(sup_disp, float(np.max(np.abs(settled[:, 0]))))
+    a, om, ph = np.array(harmonics, dtype=float).reshape(-1, 3).T
+    q = np.exp(0.5j * dt * om)[:, None]
+    w = (a * np.exp(1j * ph))[:, None] * (q ** np.arange(3) @ rk4.PG.T)
+    X = np.linalg.solve((q * q)[:, :, None] * np.eye(2) - R1,
+                        w[:, :, None])[:, :, 0]
+    v = X.real.sum(axis=0)
+    # the first kept step i: i dt >= settle_time as a float product, which
+    # the rounded quotient overshoots by at most one
+    i = max(0, math.ceil(min(settle_time / dt, n)) - 1)
+    while i < n and i * dt < settle_time:
+        i += 1
+    sup_state = sup_disp = 0.0
+    for j0 in range(i + 1, n + 1, CHUNK_ROWS):    # state j follows step j - 1
+        j = np.arange(j0, min(j0 + CHUNK_ROWS, n + 1))
+        x = (np.exp(1j * np.outer(j * dt, om)) @ X).real
+        tr = np.empty_like(x)                     # tr[r] = R1^(j0 + r) v
+        tr[0] = np.linalg.matrix_power(R1, j0) @ v
+        Rm, m = R1, 1
+        while m < len(x):
+            tr[m : 2 * m] = tr[: min(m, len(x) - m)] @ Rm.T
+            Rm, m = Rm @ Rm, 2 * m
+        x -= tr
+        sup_state = max(sup_state, float(np.max(np.hypot(*x.T))))
+        sup_disp = max(sup_disp, float(np.max(np.abs(x[:, 0]))))
     return sup_state, sup_disp

@@ -3,13 +3,17 @@
 Each is the textbook formula, written apart from the code it checks: the
 mode shapes and their slope (for ``modal.actuator_gain``), the damped beam
 operator's eigenvalue pair per mode (for ``modal.mode_roots``, the
-assembled spectrum and acceptance criterion 1), and the static modal gain
-(for the steady response to a constant force).
+assembled spectrum and acceptance criterion 1), the static modal gain
+(for the steady response to a constant force), and the modal energy and
+its dissipation rate (for the energy checks on simulated plant states).
 """
 
 import math
 
+import numpy as np
+
 from piezobeam.beam import SQRT2, cos_pi, sin_pi
+from piezobeam.modal import DampingModel
 
 
 def mode_shape(n, x):
@@ -49,3 +53,22 @@ def continuous_eigenvalues(params, n):
 def static_gain(params, n):
     """Steady modal amplitude per unit constant modal force: a2 / sigma_n^4."""
     return params.a2 / (n * math.pi) ** 4
+
+
+def modal_energy(system, z):
+    """Energy (1/2) sum(w_n'^2 + sigma_n^4 w_n^2) of the state(s) z, 2N in
+    the last axis, of a truncated ``ModalSystem``."""
+    z = np.asarray(z, dtype=float)
+    s2 = (system.modes * math.pi) ** 2
+    w, wd = z[..., : system.N], z[..., system.N :]
+    return 0.5 * np.sum(wd**2 + s2**2 * w**2, axis=-1)
+
+
+def dissipation(system, z):
+    """Dissipation rate sum(d_n w_n'^2) >= 0 of the state(s) z, with
+    d_n = a1 sigma_n^2 (structural) or a1 sigma_n^4 (Kelvin-Voigt)."""
+    z = np.asarray(z, dtype=float)
+    s2 = (system.modes * math.pi) ** 2
+    if system.damping_model is DampingModel.KELVIN_VOIGT:
+        s2 = s2**2
+    return np.sum(system.params.a1 * s2 * z[..., system.N :] ** 2, axis=-1)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 import yaml
 
+from piezobeam import analysis
 from piezobeam.cli import CSV_CHUNK_ROWS, _fmt, main, write_csv
 from piezobeam.config import PRESETS, load_config, resolve_config
 from piezobeam.errors import ConfigError
 from piezobeam.signals import NoiseWaveform
-from piezobeam.simulate import Coupling
+from piezobeam.simulate import RK4, Coupling
 from piezobeam.synthesis import radial_pole_targets
 
 
@@ -384,6 +385,48 @@ def test_bounds_fits_a_decay_exponent_over_two_modes_or_more(tmp_path, capsys,
     rows = (tmp_path / "fig1_residual.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == \
         [str(k) for k in range(4, 4 + max(R, 1))]
+
+
+# simulated_sup of fig7's residual modes 6..45 as a step-by-step RK4 scan
+# of each mode wrote them: about 16.9k steps a mode
+FIG7_RESIDUAL_SUPS = [
+    3.09428327667, 2.27335097541, 1.74053433929, 1.3752370083,
+    1.11394197648, 0.920613203579, 0.773570816831, 0.659137264009,
+    0.568337742925, 0.495085322713, 0.435133584408, 0.385447050543,
+    0.343809251869, 0.308571184501, 0.27848549401, 0.252594552389,
+    0.230153300833, 0.210575042728, 0.193392704171, 0.178230716164,
+    0.16478431598, 0.152804111937, 0.142084435717, 0.132454456126,
+    0.123771330669, 0.115914877837, 0.108783396095, 0.102290355924,
+    0.0963617626311, 0.0909340388584, 0.0859523129641, 0.0813690267359,
+    0.0771427961229, 0.0732374737682, 0.0696213735009, 0.0662666255809,
+    0.063148638096, 0.060245644998, 0.0575383252073, 0.055009480297,
+]
+
+
+def test_bounds_solves_residual_modes_without_stepping(tmp_path, capsys,
+                                                       monkeypatch):
+    # one closed-form residual-mode call per mode, no RK4 scan, and the
+    # sups of the scan to rounding
+    calls = {"run": 0, "mode": 0}
+    run, mode = RK4.run, analysis.simulate_residual_mode
+
+    def counting_run(self, *args):
+        calls["run"] += 1
+        return run(self, *args)
+
+    def counting_mode(*args, **kwargs):
+        calls["mode"] += 1
+        return mode(*args, **kwargs)
+
+    monkeypatch.setattr(RK4, "run", counting_run)
+    monkeypatch.setattr(analysis, "simulate_residual_mode", counting_mode)
+    path = write_config(tmp_path, {"preset": "fig7",
+                                   "sim": {"residual_modes": 40}})
+    assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == 0
+    assert calls == {"run": 0, "mode": 40}
+    rows = (tmp_path / "fig7_residual.csv").read_text().splitlines()[1:]
+    sups = [float(row.split(",")[2]) for row in rows]
+    np.testing.assert_allclose(sups, FIG7_RESIDUAL_SUPS, rtol=1e-9, atol=0)
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -160,17 +160,15 @@ HARMONICS = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(harmonics=HARMONICS, count=GRID_COUNTS,
-       offset=st.one_of(st.just(0), st.integers(1, 10**6)),
-       h=st.floats(1e-5, 1e-2))
-def test_cosine_sum_grid_matches_modal_force(harmonics, count, offset, h):
-    """The grid kernel against term-by-term ``modal_force`` on t_i = (o+i) h.
+@given(harmonics=HARMONICS, count=GRID_COUNTS, h=st.floats(1e-5, 1e-2))
+def test_cosine_sum_grid_matches_modal_force(harmonics, count, h):
+    """The grid kernel against term-by-term ``modal_force`` on t_i = i h.
 
     Both evaluate the same real function, so they differ by their rounding
     errors, each a small multiple of the unit roundoff u = eps/2 per unit
     of sum |a|:
 
-    - the angle w t + p: t = (o+i) h, the product and the sum round to
+    - the angle w t + p: t = i h, the product and the sum round to
       about 3 |w| t + |p| in both; the kernel's fine angle w r h adds
       |w| r h < |w| t;
     - cos and sin: about 1 each;
@@ -181,10 +179,10 @@ def test_cosine_sum_grid_matches_modal_force(harmonics, count, offset, h):
     |delta| <= 64 eps (1 + max |w| t_end) sum |a| holds with margin.
     """
     spec = build_disturbance([harmonics])
-    got = cosine_sum_grid(harmonics, h, count, offset=offset)
-    want = modal_force(spec, 1, (offset + np.arange(count)) * h)
+    got = cosine_sum_grid(harmonics, h, count)
+    want = modal_force(spec, 1, np.arange(count) * h)
     assert got.shape == (count,)
-    t_end = (offset + count - 1) * h
+    t_end = (count - 1) * h
     om_max = max(abs(om) for _, om, _ in harmonics)
     bound = 64 * np.finfo(float).eps * (1.0 + om_max * t_end) * \
         sum(abs(a) for a, _, _ in harmonics)
@@ -200,7 +198,7 @@ def test_cosine_sum_grid_constant_forces():
     # omega = 0, as in constant_disturbance: a cos(p) on every grid point
     spec = constant_disturbance([2.5])
     hs = [(h.amplitude, h.omega, h.phase) for h in spec.mode_harmonics[0]]
-    np.testing.assert_array_equal(cosine_sum_grid(hs, 1e-3, 17, offset=40),
+    np.testing.assert_array_equal(cosine_sum_grid(hs, 1e-3, 17),
                                   np.full(17, 2.5))
 
 

@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import static_gain
+from oracles import dissipation, modal_energy, static_gain
 from piezobeam.beam import BeamParams
 from piezobeam.config import resolve_config
 from piezobeam.errors import ConfigError, DivergenceError, UnstableMatrixError
@@ -27,6 +29,7 @@ from piezobeam.signals import (
     tail_disturbance,
 )
 from piezobeam.simulate import (
+    CHUNK_ROWS,
     RK4,
     CoupledDynamics,
     Coupling,
@@ -468,7 +471,7 @@ def homogeneous_run(gains, a1=0.01, N=3, T=6.0):
 
 def test_open_loop_energy_non_increasing():
     system, res = homogeneous_run(None)
-    E = system.modal_energy(res.z)
+    E = modal_energy(system, res.z)
     assert np.all(np.diff(E) <= 1e-10)
 
 
@@ -477,8 +480,8 @@ def test_energy_dissipation_identity():
     system = assemble(PARAMS, 3, PATCH)
     cfg = SimConfig(t_final=0.05, dt=2e-5, seed=12)
     res = simulate(system, None, NO_FORCE, NO_NOISE, cfg)
-    E = system.modal_energy(res.z)
-    D = system.dissipation(res.z)
+    E = modal_energy(system, res.z)
+    D = dissipation(system, res.z)
     dE = np.diff(E) / res.dt
     D_mid = 0.5 * (D[1:] + D[:-1])
     np.testing.assert_allclose(dE, -D_mid, rtol=2e-2,
@@ -494,14 +497,14 @@ def test_observer_in_loop_keeps_plant_dissipative():
     gains = GainSet.from_matrices(system, np.zeros(6), L)
     cfg = SimConfig(t_final=6.0, seed=12)
     res = simulate(system, gains, NO_FORCE, NO_NOISE, cfg)
-    E = system.modal_energy(res.z)
+    E = modal_energy(system, res.z)
     assert np.all(np.diff(E) <= 1e-10)
     assert np.all(res.V == 0.0)
 
 
 def test_undamped_energy_conserved_to_integrator_error():
     system, res = homogeneous_run(None, a1=0.0, T=2.0)
-    E = system.modal_energy(res.z)
+    E = modal_energy(system, res.z)
     assert np.all(np.diff(E) <= 1e-10)   # RK4 is dissipative on i R
     assert E[-1] >= 0.999 * E[0]
 
@@ -702,25 +705,82 @@ def scalar_residual_mode(params, k, harmonics, t_final=None, dt=None,
     return sup_state, sup_disp
 
 
-def damped_omega(k, model):
-    return float(resonant_frequencies(PARAMS, [k], model)[0])
+def damped_omega(k, model, params=PARAMS):
+    return float(resonant_frequencies(params, [k], model)[0])
 
 
-@pytest.mark.parametrize("k, model, harmonics", [
-    (4, DampingModel.STRUCTURAL, [(2.0, 0.8 * (4 * math.pi) ** 2, 0.3)]),
-    (6, DampingModel.STRUCTURAL,
-     [(1.0, damped_omega(6, DampingModel.STRUCTURAL), 0.0)]),
-    (9, DampingModel.STRUCTURAL,
-     [(1.0, damped_omega(9, DampingModel.STRUCTURAL), 0.0),
-      (0.5, 3.0, 1.1)]),
-    (10, DampingModel.KELVIN_VOIGT,
-     [(1.0, damped_omega(10, DampingModel.KELVIN_VOIGT), 0.0)]),
+STRUCTURAL = DampingModel.STRUCTURAL
+CRITICAL = BeamParams.dimensionless(a1=2.0)
+OVERDAMPED = BeamParams.dimensionless(a1=3.0)
+
+
+# the ids of the first four predate the params and horizon columns
+@pytest.mark.parametrize("k, model, harmonics, params, horizon", [
+    pytest.param(4, STRUCTURAL, [(2.0, 0.8 * (4 * math.pi) ** 2, 0.3)],
+                 PARAMS, {}, id="4-DampingModel.STRUCTURAL-harmonics0"),
+    pytest.param(6, STRUCTURAL, [(1.0, damped_omega(6, STRUCTURAL), 0.0)],
+                 PARAMS, {}, id="6-DampingModel.STRUCTURAL-harmonics1"),
+    pytest.param(9, STRUCTURAL, [(1.0, damped_omega(9, STRUCTURAL), 0.0),
+                                 (0.5, 3.0, 1.1)],
+                 PARAMS, {}, id="9-DampingModel.STRUCTURAL-harmonics2"),
+    pytest.param(10, DampingModel.KELVIN_VOIGT,
+                 [(1.0, damped_omega(10, DampingModel.KELVIN_VOIGT), 0.0)],
+                 PARAMS, {}, id="10-DampingModel.KELVIN_VOIGT-harmonics3"),
+    # a1 = 2: R1 is a Jordan block, with no eigenbasis
+    pytest.param(4, STRUCTURAL,
+                 [(1.0, damped_omega(4, STRUCTURAL, CRITICAL), 0.0)],
+                 CRITICAL, {}, id="critically-damped"),
+    pytest.param(3, STRUCTURAL,
+                 [(1.0, damped_omega(3, STRUCTURAL, OVERDAMPED), 0.0),
+                  (0.5, 3.0, 1.1)],
+                 OVERDAMPED, {}, id="overdamped"),
+    # 35k kept states: the transient carries over two slice boundaries
+    pytest.param(5, STRUCTURAL, [(1.0, damped_omega(5, STRUCTURAL), 0.0)],
+                 PARAMS, {"t_final": 4.0, "dt": 1e-4, "settle_time": 0.5},
+                 id="window-over-CHUNK_ROWS"),
 ])
-def test_residual_mode_matches_scalar_loop(k, model, harmonics):
-    # multi-chunk horizons: 17k-31k steps against 16k-step chunks
-    got = simulate_residual_mode(PARAMS, k, harmonics, damping_model=model)
-    want = scalar_residual_mode(PARAMS, k, harmonics, damping_model=model)
+def test_residual_mode_matches_scalar_loop(k, model, harmonics, params,
+                                           horizon):
+    if horizon:
+        kept = (horizon["t_final"] - horizon["settle_time"]) / horizon["dt"]
+        assert kept > 2 * CHUNK_ROWS
+    got = simulate_residual_mode(params, k, harmonics, damping_model=model,
+                                 **horizon)
+    want = scalar_residual_mode(params, k, harmonics, damping_model=model,
+                                **horizon)
     assert want[0] > 0.0 and want[1] > 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(k=st.integers(1, 12),
+       ratio=st.one_of(st.just(2.0), st.floats(0.005, 5.0)),
+       model=st.sampled_from(DampingModel),
+       harmonics=st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(0.0, 2.0),
+                                    st.floats(-math.pi / 3, math.pi / 3)),
+                          min_size=1, max_size=3),
+       steps=st.integers(1, 1500), settle=st.floats(0.0, 1.0))
+def test_residual_mode_matches_scalar_loop_on_short_runs(k, ratio, model,
+                                                         harmonics, steps,
+                                                         settle):
+    """The closed form against the stepped loop on short runs, the sup
+    taken from any step on.
+
+    The draw is on the damping ratio d / sigma^2, for either model: both
+    solutions carry a relative error of about (d / sigma^2)^2 eps, the
+    condition of z I - R1 at z = 1 when the slow root nears 0.  Positive
+    amplitudes with phases within pi/3 of 0 keep the harmonics from
+    cancelling to a response of rounding size.
+    """
+    s2 = (k * math.pi) ** 2
+    a1 = ratio / s2 if model is DampingModel.KELVIN_VOIGT else ratio
+    params = BeamParams.dimensionless(a1=a1)
+    dt = 0.05 / (s2 * max(1.0, ratio))      # |lambda| dt <= 0.05
+    hs = [(a, r * s2, ph) for a, r, ph in harmonics]
+    run = {"t_final": steps * dt, "dt": dt, "settle_time": settle * steps * dt,
+           "damping_model": model}
+    got = simulate_residual_mode(params, k, hs, **run)
+    want = scalar_residual_mode(params, k, hs, **run)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
