@@ -3,8 +3,10 @@
 Usage:
     piezobeam <subcommand> --config <path> [--out <dir>] [--seed <u64>]
 
-All artifacts are CSV files written with 12 significant digits and LF line
-endings, so repeated runs with the same config and seed are byte-identical.
+All artifacts are CSV files written with 12 significant digits (the bytes
+of ``%.12g``; the timeseries array is formatted exactly by NumPy digit
+tables, see ``write_csv``) and LF line endings, so repeated runs with the
+same config and seed are byte-identical.
 Exit codes: 0 success, 1 failed placement check, 2 configuration error,
 3 infeasible placement / no feasible gain, 4 diverging simulation.
 """
@@ -47,7 +49,9 @@ def _fmt(value):
     return format(float(value), ".12g")
 
 
-CSV_CHUNK_ROWS = 4096
+CSV_CHUNK_ROWS = 256
+_EXP = 290          # decimal exponents the tables cover
+_ZERO = 18 * 24     # patterns of +0 and -0; _ZERO + 2 keeps no byte
 
 
 @cache
@@ -71,26 +75,113 @@ def _chunk_text(chunk):
         return "".join([_row_format(row) for row in chunk]) % values
 
 
+@cache
+def _record_tables():
+    """Lookup tables of ``_write_array``, built on its first call.
+
+    A value's text is cut from a 40-byte record: "-0.000", 12 digits each
+    followed by a dot slot, "e", the exponent's sign and 3 digits, and the
+    separator.  Its pattern -- notation class (fixed for exponents -4..11,
+    e+dd, e+ddd), trailing zeros and sign -- selects the bytes kept: the
+    last table holds the kept head bytes and a 0xff mask for the others.
+    """
+    g = np.arange(10000)
+    quad = np.full((10000, 8), ord("."), np.uint8)      # "d.d.d.d."
+    quad[:, ::2] = g[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    tz2 = 2 * sum(g % p == 0 for p in (10, 100, 1000, 10000)).astype(np.uint8)
+    x = range(-_EXP, _EXP + 1)
+    exp = "".join(f"e{v:+04d}\0\0\0" for v in x).encode()
+    cls = [v + 4 if -4 <= v < 12 else 16 + (abs(v) >= 100) for v in x]
+    keep = np.zeros((19, 12, 2, 40), bool)   # class, trailing zeros, sign
+    keep[:18, :, 1, 0] = keep[:18, :, :, 37] = True     # minus, separator
+    for c, t in np.ndindex(18, 12):
+        k, x0, m = 12 - t, c - 4, keep[c, t]
+        if c >= 16:                                     # d.ddde+dd(d)
+            x0, m[:, 32:37], m[:, 34] = 0, True, c == 17
+        elif x0 < 0:                                    # 0.000ddd
+            m[:, 1:2 - x0] = True
+        m[:, 8:8 + 2 * max(k, x0 + 1):2] = True
+        m[:, 9 + 2 * x0] |= 0 <= x0 < k - 1             # decimal point
+    keep[18, 0, :, 1] = keep[18, 0, :, 37] = keep[18, 0, 1, 0] = True  # +-0
+    keep = keep.reshape(-1, 40)
+    return (quad.view(np.uint64).ravel(), tz2, 24 * np.array(cls),
+            np.frombuffer(exp, np.uint64), keep.sum(1),
+            np.array([float(f"1e{11 - v}") for v in x]),   # correctly rounded
+            (keep * np.frombuffer(b"-0.000\0\0" + b"\xff" * 32, np.uint8)
+             ).view(np.uint64))
+
+
+@np.errstate(all="ignore")     # 0, nan and inf warn; ``ok`` sorts them out
+def _write_array(fh, rows):
+    """Write a 2-D float array as CSV bytes, CSV_CHUNK_ROWS rows at a time.
+
+    With e = floor(log10|v|), y = |v| * 10**(11 - e) is off by at most 2 ulp
+    of 1e12 (one correctly rounded power of ten, one product), so its
+    nearest integer is the 12-digit mantissa %.12g prints wherever y is in
+    [1e11, 1e12 - 0.5) and more than 1e-3 from a half; +-0 has its own
+    pattern.  Rows with a value that fails this go through ``_fmt``: nan,
+    inf, |v| outside [1e-290, 1e291) (beyond the tables, whose index
+    clips), and values near a tie or a power of ten.
+    """
+    quad, tz2, base, expw, lens, p10, keep = _record_tables()
+    width = rows.shape[1]
+    sep = np.array([ord(",")] * (width - 1) + [ord("\n")], np.uint64) << 40
+    buf = bytearray(40 * CSV_CHUNK_ROWS * width)     # the chunk's records
+    text = np.frombuffer(buf, np.uint64).reshape(-1, 5)
+    for i0 in range(0, len(rows), CSV_CHUNK_ROWS):
+        block = rows[i0 : i0 + CSV_CHUNK_ROWS]
+        v = block.ravel()
+        y = np.abs(v, dtype=np.float64)
+        ei = (np.floor(np.log10(y)) + _EXP).astype(np.intp)
+        y *= p10.take(ei, mode="clip")
+        m = np.rint(y)
+        ok = (np.abs(y - m) < 0.499) & (y >= 1e11) & (y < 999999999999.5)
+        g0, g2 = np.divmod(m.astype(np.int64), 10**8)
+        g1, g2 = np.divmod(g2, 10**4)
+        tz = tz2.take(g2, mode="clip")
+        z = np.flatnonzero(g2 == 0)
+        tz[z] += tz2[g1[z]] + (g1[z] == 0) * tz2.take(g0[z], mode="clip")
+        pat = base.take(ei, mode="clip") + tz + np.signbit(v)
+        zero = np.flatnonzero(v == 0)
+        pat[zero], ok[zero] = _ZERO + np.signbit(v[zero]), True
+        bad = ~ok.reshape(-1, width).all(1)
+        pat.reshape(-1, width)[bad] = _ZERO + 2
+        t = text[: v.size]
+        keep.take(pat, axis=0, out=t, mode="clip")
+        for j, gj in enumerate((g0, g1, g2), 1):
+            t[:, j] &= quad.take(gj, mode="clip")
+        t.reshape(-1, width, 5)[..., 4] &= (
+            expw.take(ei, mode="clip").reshape(-1, width) | sep)
+        text[v.size :] = 0                  # the last chunk's unused tail
+        out = buf.translate(None, b"\0")
+        if bad.any():       # splice in the rows that failed
+            at = lens[pat].reshape(-1, width).sum(1).cumsum()[bad].tolist()
+            lines = [",".join(map(_fmt, r)) + "\n"
+                     for r in block[bad].tolist()]
+            out = b"".join(out[i:j] + s.encode() for i, j, s in
+                           zip([0, *at], [*at, len(out)], [*lines, ""]))
+        fh.write(out)
+
+
 def write_csv(path, header, rows):
     """Write rows of numbers/strings with deterministic formatting.
 
-    A 2-D float array is written in slices of CSV_CHUNK_ROWS rows, each
-    through one %-format string; any other iterable of rows is iterated
-    once and written a chunk of rows at a time.
+    A 2-D float array goes through ``_write_array``, whose text is exact by
+    construction: the same bytes as ``%.12g`` of each value.  Rows holding
+    nan, inf, a value beyond 1e+-290 or one near a 12-digit rounding tie
+    fall back to ``_fmt``.  Any other iterable of rows is iterated once and
+    written a chunk of rows at a time through one %-format string.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         if (isinstance(rows, np.ndarray) and rows.ndim == 2
-                and rows.dtype.kind == "f"):
-            line = _number_format(rows.shape[1])
-            for i0 in range(0, len(rows), CSV_CHUNK_ROWS):
-                block = rows[i0 : i0 + CSV_CHUNK_ROWS]
-                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+                and rows.shape[1] and rows.dtype.kind == "f"):
+            _write_array(fh, rows)
         else:
             rows = iter(rows)
             while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-                fh.write(_chunk_text(chunk))
+                fh.write(_chunk_text(chunk).encode())
     return path
 
 
@@ -237,7 +328,9 @@ def run(config, command, out_dir):
     return COMMANDS[command](config, Path(out_dir))
 
 
-def main(argv=None):
+@cache
+def _parser():
+    """The argument parser of ``main``, built once per process."""
     parser = argparse.ArgumentParser(
         prog="piezobeam",
         description="Observer-based vibration control of a patched beam",
@@ -247,7 +340,11 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override noise and initial-state seeds")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         config = load_config(args.config)

@@ -1,16 +1,19 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from piezobeam import analysis
+from piezobeam import analysis, cli
 from piezobeam.cli import CSV_CHUNK_ROWS, _fmt, main, write_csv
 from piezobeam.config import PRESETS, load_config, resolve_config
 from piezobeam.errors import ConfigError
 from piezobeam.signals import NoiseWaveform
-from piezobeam.simulate import RK4, Coupling
+from piezobeam.simulate import RK4, Coupling, simulate
 from piezobeam.synthesis import radial_pole_targets
 
 
@@ -605,3 +608,145 @@ class CountingRows:
         for row in self.rows:
             self.n += 1
             yield row
+
+
+def percent_csv(path, header, array):
+    """The %-format array writer that ``write_csv`` replaced: one format
+    string per 4096-row slice.  Kept as the memory yardstick."""
+    line = ",".join(["%.12g"] * array.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i0 in range(0, len(array), 4096):
+            block = array[i0 : i0 + 4096]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def bit_floats(u):
+    return float(np.array(u, np.uint64).view(np.float64))
+
+
+def near(x):
+    """x and its neighbouring doubles."""
+    return st.sampled_from([x, math.nextafter(x, 0.0),
+                            math.nextafter(x, math.inf)])
+
+
+# values the digit tables must get right or hand to the fallback: raw bit
+# patterns (subnormals, nan payloads, huge exponents), 10**k and its
+# neighbours, 12-digit half-ties (m + 0.5) * 10**j, the fixed/exponential
+# switches at exponents -5/-4 and 11/12, 3-digit exponents, zeros
+NOTATION_EDGES = [9.9999999999949e-05, 9.99999999999e-05, 9.999999999995e-05,
+                  1e-4, 99999999999.95, 999999999999.0, 999999999999.4,
+                  999999999999.5, 999999999999.6, 1e12, 9.999999999995e99,
+                  1e100, 9.9999999999949e-100, 1e-100, 1e-280, 1e280,
+                  5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+ARRAY_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(bit_floats),
+    st.integers(-323, 308).map(lambda k: float(f"1e{k}")).flatmap(near),
+    st.builds(lambda m, j: float(f"{m}5e{j}"), st.integers(10**11, 10**12 - 1),
+              st.integers(-300, 295)).flatmap(near),
+    st.sampled_from(NOTATION_EDGES).flatmap(near),
+    st.sampled_from([0.0, math.inf, math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+ARRAYS = st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(ARRAY_VALUES, min_size=width, max_size=width),
+    min_size=1, max_size=30))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=ARRAYS)
+def test_array_csv_matches_reference_writer(tmp_path, rows):
+    header = [f"c{j}" for j in range(len(rows[0]))]
+    path = write_csv(tmp_path / "array.csv", header, np.array(rows))
+    assert path.read_bytes() == reference_csv(header, rows)
+
+
+def test_array_csv_splices_fallback_rows_at_chunk_edges(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 2 * CSV_CHUNK_ROWS + 3
+    array = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-30, 30, (n, 4))
+    # nan, a half-tie and a subnormal in the first and last rows of chunks,
+    # two adjacent rows, and the last row of the table
+    edges = [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS - 1,
+             2 * CSV_CHUNK_ROWS, n - 1]
+    odd = [math.nan, 1234567890125.0, 5e-324, -math.inf]
+    for i, row in enumerate(edges):
+        array[row, i % 4] = odd[i % 4]
+    array[5, :] = math.nan                       # a row with no fast value
+    header = ["a", "b", "c", "d"]
+    expect = reference_csv(header, array.tolist())
+    assert write_csv(tmp_path / "a.csv", header, array).read_bytes() == expect
+
+
+def test_array_csv_on_ties_and_powers_of_ten(tmp_path):
+    # the hypothesis property above draws few values this close to a
+    # rounding boundary; here are 20k half-ties, where 1 in 100 needs the
+    # 1e-3 tie margin, and every power of ten with its neighbours
+    rng = np.random.default_rng(11)
+    ties = [float(f"{m}5e{j}") for m, j in zip(
+        rng.integers(10**11, 10**12, 20000), rng.integers(-300, 295, 20000))]
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    values = ties + powers + [math.nextafter(p, s) for p in powers
+                              for s in (0.0, math.inf)]
+    values += [-v for v in values]
+    array = np.array(values[: len(values) // 4 * 4]).reshape(-1, 4)
+    expect = reference_csv(list("abcd"), array.tolist())
+    assert write_csv(tmp_path / "t.csv", list("abcd"),
+                     array).read_bytes() == expect
+
+
+def test_array_csv_fast_path_covers_simulate_rows(tmp_path, monkeypatch):
+    # guards against the digit tables silently failing over to ``_fmt``:
+    # on a fig1 timeseries under 2% of the rows may take the fallback
+    config = resolve_config({"preset": "fig1", "sim": {"t_final": 2.0}})
+    system = config.build_system()
+    result = simulate(system, config.build_gains(system), config.disturbance,
+                      config.noise, config.sim)
+    array = cli._timeseries_rows(result)
+    calls = []
+    monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or _fmt(v))
+    header = ["t", "norm_e", "norm_z", "V", "y", "norm_residual"]
+    path = write_csv(tmp_path / "ts.csv", header, array)
+    assert len(calls) / 6 < 0.02 * len(array), len(calls)
+    monkeypatch.undo()
+    assert path.read_bytes() == reference_csv(header, array.tolist())
+
+
+def test_array_csv_memory_stays_below_the_percent_writer(tmp_path):
+    array = np.random.default_rng(3).standard_normal((20000, 6))
+    header = list("abcdef")
+    write_csv(tmp_path / "warm.csv", header, array[:1])   # builds the tables
+    peaks = []
+    for writer in (write_csv, percent_csv):
+        tracemalloc.start()
+        try:
+            writer(tmp_path / "m.csv", header, array)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the %-format writer holds about 1.3 MB per 4096-row slice
+    assert peaks[0] <= peaks[1], peaks
+
+
+def test_main_parses_with_one_parser(tmp_path, capsys):
+    path = write_config(tmp_path, {"preset": "fig1"})
+    argvs = [["check", "--config", path, "--seed", "3"],
+             ["check", "--config", path, "--out", str(tmp_path)],
+             ["bogus", "--config", path]]
+    for argv in argvs:
+        outcome = []
+        for parser in (cli._parser(), cli._parser.__wrapped__()):
+            try:
+                outcome.append(vars(parser.parse_args(argv)))
+            except SystemExit as exc:
+                outcome.append(exc.code)
+        assert outcome[0] == outcome[1], argv
+    assert cli._parser() is cli._parser()
+    assert main(argvs[0]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argvs[2])
+    assert exc.value.code == 2
+    assert main(argvs[1]) == 0
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err

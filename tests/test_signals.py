@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piezobeam.beam import BeamParams
@@ -161,6 +161,7 @@ HARMONICS = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(harmonics=HARMONICS, count=GRID_COUNTS, h=st.floats(1e-5, 1e-2))
+@example(harmonics=[(2.225073858507e-311, 1.0, 0.0)], count=9, h=0.0078125)
 def test_cosine_sum_grid_matches_modal_force(harmonics, count, h):
     """The grid kernel against term-by-term ``modal_force`` on t_i = i h.
 
@@ -177,6 +178,12 @@ def test_cosine_sum_grid_matches_modal_force(harmonics, count, h):
 
     With |p| <= pi that is under 7 |w| t_end + 60 in units of u, so
     |delta| <= 64 eps (1 + max |w| t_end) sum |a| holds with margin.
+
+    A subnormal amplitude leaves that relative model: a product or sum
+    that lands below the normal range rounds to a multiple of the
+    smallest subnormal s, an absolute error of up to s/2 each.  The kernel
+    makes about 6H such roundings (a cos, a sin and the dot product), the
+    loop 2H, so the bound adds 4H s.
     """
     spec = build_disturbance([harmonics])
     got = cosine_sum_grid(harmonics, h, count)
@@ -185,7 +192,8 @@ def test_cosine_sum_grid_matches_modal_force(harmonics, count, h):
     t_end = (count - 1) * h
     om_max = max(abs(om) for _, om, _ in harmonics)
     bound = 64 * np.finfo(float).eps * (1.0 + om_max * t_end) * \
-        sum(abs(a) for a, _, _ in harmonics)
+        sum(abs(a) for a, _, _ in harmonics) + \
+        4 * len(harmonics) * np.finfo(float).smallest_subnormal
     assert np.max(np.abs(got - want)) <= bound
 
 
