@@ -49,7 +49,7 @@ def _fmt(value):
     return format(float(value), ".12g")
 
 
-CSV_CHUNK_ROWS = 256
+CSV_CHUNK_ROWS = 1024
 _EXP = 290          # decimal exponents the tables cover
 _ZERO = 18 * 24     # patterns of +0 and -0; _ZERO + 2 keeps no byte
 
@@ -170,9 +170,16 @@ def write_csv(path, header, rows):
     construction: the same bytes as ``%.12g`` of each value.  Rows holding
     nan, inf, a value beyond 1e+-290 or one near a 12-digit rounding tie
     fall back to ``_fmt``.  Any other iterable of rows is iterated once and
-    written a chunk of rows at a time through one %-format string.
+    written a chunk of rows at a time through one %-format string.  Both
+    paths work CSV_CHUNK_ROWS rows at a time.  An output directory that
+    cannot be created (a file in its place or on its path) is a
+    ConfigError naming it, raised before the file is opened.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:      # a file in the way, no permission, ...
+        raise ConfigError(f"cannot create output directory {path.parent}: "
+                          f"{exc.strerror}") from None
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         if (isinstance(rows, np.ndarray) and rows.ndim == 2

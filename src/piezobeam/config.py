@@ -359,6 +359,11 @@ def load_config(path):
                                                 yaml.SafeLoader))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:          # a directory, no permission, ...
+        raise ConfigError(
+            f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from None
     return resolve_config(data)

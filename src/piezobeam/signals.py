@@ -229,7 +229,8 @@ def _splitmix64(x):
 
 
 def noise_samples(spec, times):
-    """xi at an array of times; UNIFORM_HOLD hashes (seed, interval index)."""
+    """xi at an array of times; UNIFORM_HOLD hashes (seed, interval index),
+    once per run of consecutive times in one interval."""
     times = np.asarray(times, dtype=float)
     if spec.bound == 0.0:
         return np.zeros_like(times)
@@ -237,9 +238,15 @@ def noise_samples(spec, times):
         return spec.bound * np.sin(spec.frequency * times + spec.phase)
     if spec.hold is None:
         raise ValueError("NoiseSpec.hold is unresolved; set it or simulate()")
-    # interval indices as two's-complement uint64, i.e. index & _MASK
+    # interval indices as two's-complement uint64, i.e. index & _MASK;
+    # each run of equal indices is hashed once (unsorted times: runs of 1)
     idx = np.floor(times.ravel() / spec.hold).astype(np.int64).view(np.uint64)
+    first = np.ones(idx.size, bool)
+    first[1:] = idx[1:] != idx[:-1]
+    starts = np.flatnonzero(first)
     seed = np.uint64(((spec.seed & _MASK) << 1) & _MASK)
-    h = _splitmix64(seed ^ _splitmix64(idx))
+    h = _splitmix64(seed ^ _splitmix64(idx[starts]))
     u = (h >> np.uint64(11)).astype(float) * (1.0 / (1 << 53))  # [0, 1)
-    return ((2.0 * u - 1.0) * spec.bound).reshape(times.shape)
+    held = (2.0 * u - 1.0) * spec.bound
+    return np.repeat(held, np.diff(starts, append=idx.size)).reshape(
+        times.shape)

@@ -35,6 +35,11 @@ takes its forcing on the half-step grid from ``signals.cosine_sum_grid``
 distinct harmonic set.  The single-mode residual runs use the same R1 and
 P*G, but solve the recurrence in closed form on the states they keep.
 
+Once every state of the history is found finite, V, y and the norms of
+e, z and z_res are filled in CHUNK_ROWS-row blocks, each by the
+whole-array expressions (so with the same bits): no full-length temporary
+and no z_hat history is kept.
+
 Only the states that X(0) and the forcing reach through the nonzeros of M
 are stepped.  That set is closed under M, so RK4 on its sub-block of M is
 exact, and the rest (an undriven residual mode at rest, under truncated
@@ -61,8 +66,9 @@ from .signals import modal_force  # noqa: F401
 DT_REAL_FACTOR = 0.1      # dt <= 0.1 / max |Re lambda|
 DT_IMAG_FACTOR = 2 * math.pi / 20.0  # >= 20 steps per fastest period
 
-# Rows per chunk when assembling forcing, checking finiteness and evaluating
-# residual-mode states: bounds the temporaries whatever the horizon.
+# Rows per chunk when assembling forcing, checking finiteness, deriving the
+# output series and evaluating residual-mode states: bounds the temporaries
+# whatever the horizon.
 CHUNK_ROWS = 1 << 14
 
 # Most states (n + 1) x dim of one run: 128 MiB of floats, above 192k steps
@@ -111,16 +117,15 @@ class SimConfig:
 class SimulationResult:
     """Trajectories on the time grid plus derived histories.
 
-    z, e and residual are the integrated state (z, e, z_res); z_hat is
-    derived as z - e of the stored steps.  Norms are Euclidean norms of the
-    stacked modal coefficient vectors.  force_sup is the sup over the grid
-    of the retained modal force vector norm a2 ||(f_1..f_N)||.  noise is
-    the spec as run, with its hold resolved.
+    z, e and residual are the integrated state (z, e, z_res); z_hat is not
+    stored but derived as z - e on each access.  Norms are Euclidean norms
+    of the stacked modal coefficient vectors.  force_sup is the sup over
+    the grid of the retained modal force vector norm a2 ||(f_1..f_N)||.
+    noise is the spec as run, with its hold resolved.
     """
 
     t: np.ndarray
     z: np.ndarray
-    z_hat: np.ndarray
     e: np.ndarray
     residual: np.ndarray
     V: np.ndarray
@@ -135,6 +140,10 @@ class SimulationResult:
     disturbance: object
     noise: object
     config: SimConfig
+
+    @property
+    def z_hat(self):
+        return self.z - self.e
 
 
 def stability_cap(spectrum):
@@ -394,17 +403,22 @@ def simulate(system, gains, disturbance, noise, config):
     e = _states(X, live, 2 * N, 4 * N)
     res = _states(X, live, 4 * N, dyn.dim)
     a, b = np.searchsorted(live, [4 * N, dyn.dim])   # reached residual states
-    z_hat = z - e
-    V = -(z_hat @ dyn.K)
-    y = z @ system.C + X[:, a:b] @ dyn.block.C[live[a:b] - 4 * N] + xi
+    X_res, C_res = X[:, a:b], dyn.block.C[live[a:b] - 4 * N]
+    # block by block, each row by the whole-array expression: the bits stay
+    # (V keeps the -0 of a zero z_hat, which (z - e) @ -K would make +0)
+    V, y, norm_e, norm_z, norm_res = np.empty((5, n_steps + 1))
+    for i0 in range(0, n_steps + 1, CHUNK_ROWS):
+        s = slice(i0, i0 + CHUNK_ROWS)
+        V[s] = -((z[s] - e[s]) @ dyn.K)
+        y[s] = z[s] @ system.C + X_res[s] @ C_res + xi[s]
+        norm_e[s] = np.linalg.norm(e[s], axis=1)
+        norm_z[s] = np.linalg.norm(z[s], axis=1)
+        norm_res[s] = np.linalg.norm(X_res[s], axis=1)
 
     return SimulationResult(
-        t=t, z=z, z_hat=z_hat, e=e, residual=res, V=V, y=y,
-        norm_e=np.linalg.norm(e, axis=1),
-        norm_z=np.linalg.norm(z, axis=1),
-        norm_residual=np.linalg.norm(X[:, a:b], axis=1),
-        force_sup=force_sup, dt=dt, system=system, gains=gains,
-        disturbance=disturbance, noise=dyn.noise, config=config,
+        t=t, z=z, e=e, residual=res, V=V, y=y, norm_e=norm_e, norm_z=norm_z,
+        norm_residual=norm_res, force_sup=force_sup, dt=dt, system=system,
+        gains=gains, disturbance=disturbance, noise=dyn.noise, config=config,
     )
 
 

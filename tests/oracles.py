@@ -5,7 +5,9 @@ mode shapes and their slope (for ``modal.actuator_gain``), the damped beam
 operator's eigenvalue pair per mode (for ``modal.mode_roots``, the
 assembled spectrum and acceptance criterion 1), the static modal gain
 (for the steady response to a constant force), and the modal energy and
-its dissipation rate (for the energy checks on simulated plant states).
+its dissipation rate (for the energy checks on simulated plant states),
+and the held noise hashed sample by sample (for ``signals.noise_samples``,
+which hashes each hold interval once).
 """
 
 import math
@@ -72,3 +74,21 @@ def dissipation(system, z):
     if system.damping_model is DampingModel.KELVIN_VOIGT:
         s2 = s2**2
     return np.sum(system.params.a1 * s2 * z[..., system.N :] ** 2, axis=-1)
+
+
+def _splitmix64(x):
+    """SplitMix64 finalizer on uint64 arrays; products wrap mod 2^64."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def held_noise_per_sample(spec, times):
+    """UNIFORM_HOLD noise at ``times``: one hash of (seed, floor(t / hold))
+    per sample, the interval index taken as two's-complement uint64."""
+    idx = np.floor(np.ravel(times) / spec.hold).astype(np.int64)
+    seed = np.uint64((spec.seed << 1) % 2**64)
+    h = _splitmix64(seed ^ _splitmix64(idx.view(np.uint64)))
+    u = (h >> np.uint64(11)).astype(float) * (1.0 / (1 << 53))
+    return ((2.0 * u - 1.0) * spec.bound).reshape(np.shape(times))

@@ -211,6 +211,35 @@ def test_bad_inputs_exit_with_their_documented_code(tmp_path, capsys, command,
     assert not out.exists()     # refused before any artifact is written
 
 
+@pytest.mark.parametrize("kind", ["directory", "utf-16"])
+def test_unreadable_config_exits_2_naming_it(tmp_path, capsys, kind):
+    path = tmp_path / "cfg.yaml"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe" + "preset: fig1\n".encode("utf-16-le"))
+    assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["tune", "simulate"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_path_blocked_by_a_file_exits_2(tmp_path, capsys, command, under):
+    path = write_config(tmp_path, {"preset": "fig1", "sim": {"t_final": 0.1}})
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if under else blocker
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory "
+                          f"{out}: ")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "taken"]
+
+
 def test_infeasible_placement_exit_code(tmp_path, capsys):
     # full-span patch kills mode 2: tuning cannot place poles
     path = write_config(tmp_path, {

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import held_noise_per_sample
 from piezobeam.beam import BeamParams
 from piezobeam.modal import (
     DampingModel,
@@ -284,6 +285,21 @@ def test_noise_samples_match_scalar_path():
     assert vec.shape == grid.shape
     assert vec.ravel().tolist() == [
         _hold_value(3, math.floor(ti / hold), 0.02) for ti in grid.ravel()]
+
+
+def test_noise_hashes_each_hold_once_as_per_sample_hash():
+    # one hash per run of equal interval indices, expanded by run length,
+    # against one hash per sample: on the half-step grid of a 192k-step
+    # run, on those times shuffled (runs of one) and on negative times
+    dt = 2.5e-4
+    grid = np.arange(2 * 192_000 + 1) * (dt / 2.0)
+    shuffled = np.random.default_rng(5).permutation(grid)
+    negative = np.linspace(-3.0, 0.5, 20_001)
+    for seed, hold in ((7, 10 * dt), (2**63 + 5, 0.0137), (0, dt / 2.0)):
+        spec = NoiseSpec(bound=0.05, seed=seed, hold=hold)
+        for t in (grid, shuffled, negative, negative[::-1], grid[:0]):
+            np.testing.assert_array_equal(
+                noise_samples(spec, t), held_noise_per_sample(spec, t))
 
 
 def test_sinusoidal_noise():

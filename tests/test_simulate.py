@@ -1,3 +1,4 @@
+import gc
 import importlib
 import math
 import tracemalloc
@@ -568,6 +569,57 @@ def test_divergence_step_matches_sequential_oracle():
     assert first_bad is not None
     assert abs(err.value.step - first_bad) <= block_size(n_steps)
     assert err.value.time == err.value.step * dt
+    # exactly the first non-finite row of the history: the finiteness scan
+    # runs before any derived series could warn on the huge rows before it
+    X = np.empty((n_steps + 1, dyn.live.size))
+    X[0] = dyn.x0[dyn.live]
+    dyn.rk4.run(X, np.zeros((2 * n_steps + 1, dyn.G.shape[1])))
+    assert err.value.step == np.argmin(np.isfinite(X).all(axis=1))
+
+
+def test_derived_series_are_the_whole_array_formulas_bit_for_bit():
+    # more than two CHUNK_ROWS blocks, dt given: the blocked pass gives
+    # each row the bits of the whole-array expression
+    config, system, gains = built(with_sim(FIG1, t_final=9.0, dt=2.5e-4))
+    res = simulate(system, gains, config.disturbance, config.noise,
+                   config.sim)
+    assert len(res.t) > 2 * CHUNK_ROWS + 1 and config.sim.z_hat0 is None
+    dyn = CoupledDynamics(system, gains, config.disturbance, config.noise,
+                          config.sim)
+    N, live = dyn.N, dyn.live
+    z, e = res.z, res.e
+    reached = live[live >= 4 * N] - 4 * N
+    X_res = res.residual[:, reached]
+    xi = noise_samples(res.noise, res.t)
+    np.testing.assert_array_equal(res.V, -((z - e) @ gains.K))
+    np.testing.assert_array_equal(
+        res.y, z @ system.C + X_res @ dyn.block.C[reached] + xi)
+    np.testing.assert_array_equal(res.norm_e, np.linalg.norm(e, axis=1))
+    np.testing.assert_array_equal(res.norm_z, np.linalg.norm(z, axis=1))
+    np.testing.assert_array_equal(res.norm_residual,
+                                  np.linalg.norm(X_res, axis=1))
+    assert math.copysign(1.0, res.V[0]) == -1.0     # z_hat(0) = 0: V = -0
+    np.testing.assert_array_equal(res.z_hat, z - e)
+
+
+def test_result_keeps_no_full_length_temporaries():
+    # what a run leaves allocated: the reached history (z and e are views
+    # of it), the zero-filled residual states and six series (t, V, y and
+    # three norms); a stored z_hat history would add 2N words a row
+    config, system, gains = built(with_sim(FIG1, t_final=4.0,
+                                           residual_modes=5))
+    args = (system, gains, config.disturbance, config.noise, config.sim)
+    simulate(*args)                                  # warm-up
+    live = CoupledDynamics(*args).live.size
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = simulate(*args)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    words = live + 2 * 5 + 6
+    assert kept <= 8 * len(res.t) * words + 64 * 1024, kept / (8 * len(res.t))
 
 
 # ---------------------------------------------------------------------------
