@@ -52,6 +52,7 @@ def _fmt(value):
 CSV_CHUNK_ROWS = 1024
 _EXP = 290          # decimal exponents the tables cover
 _ZERO = 18 * 24     # patterns of +0 and -0; _ZERO + 2 keeps no byte
+_TIE_MARGIN = 0.4997   # below 0.5 - 2.44e-4, see _write_array
 
 
 @cache
@@ -105,7 +106,7 @@ def _record_tables():
     keep[18, 0, :, 1] = keep[18, 0, :, 37] = keep[18, 0, 1, 0] = True  # +-0
     keep = keep.reshape(-1, 40)
     return (quad.view(np.uint64).ravel(), tz2, 24 * np.array(cls),
-            np.frombuffer(exp, np.uint64), keep.sum(1),
+            np.frombuffer(exp, np.uint64),
             np.array([float(f"1e{11 - v}") for v in x]),   # correctly rounded
             (keep * np.frombuffer(b"-0.000\0\0" + b"\xff" * 32, np.uint8)
              ).view(np.uint64))
@@ -116,14 +117,17 @@ def _write_array(fh, rows):
     """Write a 2-D float array as CSV bytes, CSV_CHUNK_ROWS rows at a time.
 
     With e = floor(log10|v|), y = |v| * 10**(11 - e) is off by at most 2 ulp
-    of 1e12 (one correctly rounded power of ten, one product), so its
-    nearest integer is the 12-digit mantissa %.12g prints wherever y is in
-    [1e11, 1e12 - 0.5) and more than 1e-3 from a half; +-0 has its own
-    pattern.  Rows with a value that fails this go through ``_fmt``: nan,
-    inf, |v| outside [1e-290, 1e291) (beyond the tables, whose index
-    clips), and values near a tie or a power of ten.
+    of 1e12 = 2.44e-4 (one correctly rounded power of ten, one product), so
+    its nearest integer m is the 12-digit mantissa %.12g prints wherever y
+    is in [1e11, 1e12 - 0.5) and |y - m| < _TIE_MARGIN <= 0.5 - 2.44e-4;
+    +-0 has its own pattern.  Rows with a value that fails this go through
+    ``_fmt``: nan, inf, |v| outside [1e-290, 1e291) (beyond the tables,
+    whose index clips), and values within 3e-4 of a tie (6e-4 of random
+    values) or next to a power of ten.  Such a row's records keep no byte;
+    its text (at most 20 bytes a value) is written over their start, so
+    the one pass that drops the unused bytes leaves every row in place.
     """
-    quad, tz2, base, expw, lens, p10, keep = _record_tables()
+    quad, tz2, base, expw, p10, keep = _record_tables()
     width = rows.shape[1]
     sep = np.array([ord(",")] * (width - 1) + [ord("\n")], np.uint64) << 40
     buf = bytearray(40 * CSV_CHUNK_ROWS * width)     # the chunk's records
@@ -135,9 +139,13 @@ def _write_array(fh, rows):
         ei = (np.floor(np.log10(y)) + _EXP).astype(np.intp)
         y *= p10.take(ei, mode="clip")
         m = np.rint(y)
-        ok = (np.abs(y - m) < 0.499) & (y >= 1e11) & (y < 999999999999.5)
-        g0, g2 = np.divmod(m.astype(np.int64), 10**8)
-        g1, g2 = np.divmod(g2, 10**4)
+        ok = ((np.abs(y - m) < _TIE_MARGIN) & (y >= 1e11)
+              & (y < 999999999999.5))
+        g2 = m.astype(np.int64)         # 12 digits: g0 g1 g2, 4 each
+        g0 = g2 // 10**8
+        g2 -= g0 * 10**8
+        g1 = g2 // 10**4
+        g2 -= g1 * 10**4
         tz = tz2.take(g2, mode="clip")
         z = np.flatnonzero(g2 == 0)
         tz[z] += tz2[g1[z]] + (g1[z] == 0) * tz2.take(g0[z], mode="clip")
@@ -153,14 +161,11 @@ def _write_array(fh, rows):
         t.reshape(-1, width, 5)[..., 4] &= (
             expw.take(ei, mode="clip").reshape(-1, width) | sep)
         text[v.size :] = 0                  # the last chunk's unused tail
-        out = buf.translate(None, b"\0")
-        if bad.any():       # splice in the rows that failed
-            at = lens[pat].reshape(-1, width).sum(1).cumsum()[bad].tolist()
-            lines = [",".join(map(_fmt, r)) + "\n"
-                     for r in block[bad].tolist()]
-            out = b"".join(out[i:j] + s.encode() for i, j, s in
-                           zip([0, *at], [*at, len(out)], [*lines, ""]))
-        fh.write(out)
+        # the rows that failed: their text where their zeroed records were
+        for i, row in zip(np.flatnonzero(bad).tolist(), block[bad].tolist()):
+            line = (",".join(map(_fmt, row)) + "\n").encode()
+            buf[40 * width * i : 40 * width * i + len(line)] = line
+        fh.write(buf.translate(None, b"\0"))
 
 
 def write_csv(path, header, rows):

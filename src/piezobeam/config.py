@@ -80,14 +80,20 @@ KEYS = {
     "noise.bound": ("float", 0.01),
     "noise.seed": ("int", 1234),
     "noise.waveform": (NoiseWaveform, "uniform_hold"),
-    "noise.hold": ("float?", None),
+    # t / hold is cast to int64.  t <= 2^22 steps (2^24 values, dim >= 4)
+    # of dt <= the cap, which is below 0.034 while M keeps mode 1's roots
+    # (|root| = pi^2), so t / hold < 1.5e17 < 2^63; noise_samples refuses
+    # the rest (explicit gains that pull every pole near 0)
+    "noise.hold": ("float?", None, (1e-12, inf)),
     "noise.frequency": ("float", 25.0),
     "noise.phase": ("float", 0.0),
     "gains.strategy": (("tune", "explicit", "none"), "tune"),
     "gains.lambda_grid": ("list?", [6.0, 10.0, 14.0, 18.0, 24.0, 30.0]),
     "gains.lambda_L": ("float?", 34.0),
-    "gains.F_bound": ("float?", None),
-    "gains.eps_bound": ("float?", None),
+    # tune and bounds multiply these by ||L||, ||BK||, kappa and 1 / lambda,
+    # together up to 1e10 on the presets (fig2); 1e308 overflows
+    "gains.F_bound": ("float?", None, (0.0, 1e100)),
+    "gains.eps_bound": ("float?", None, (0.0, 1e100)),
     "gains.K": ("list?", None),
     "gains.L": ("list?", None),
     "sim.t_final": ("float", 12.0),

@@ -32,11 +32,14 @@ class InternalConsistencyError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Simulated state became non-finite."""
+    """Simulated state became non-finite, or, the state still finite, one
+    of the series derived from it (V, y, a norm) overflowed; ``what`` names
+    them."""
 
-    def __init__(self, step, time):
+    def __init__(self, step, time, what="state"):
         self.step = step
         self.time = time
+        self.what = what
         super().__init__(
-            f"state became non-finite at step {step} (t = {time:.6g})"
+            f"{what} became non-finite at step {step} (t = {time:.6g})"
         )

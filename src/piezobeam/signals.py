@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import ConfigError
 from .modal import DampingModel, resonant_frequencies
 
 # Largest declared per-mode force bound: F_bound sums the squares of the
@@ -240,7 +241,11 @@ def noise_samples(spec, times):
         raise ValueError("NoiseSpec.hold is unresolved; set it or simulate()")
     # interval indices as two's-complement uint64, i.e. index & _MASK;
     # each run of equal indices is hashed once (unsorted times: runs of 1)
-    idx = np.floor(times.ravel() / spec.hold).astype(np.int64).view(np.uint64)
+    idx = np.floor(times.ravel() / spec.hold)
+    if not -2.0**63 <= idx.min(initial=0.0) <= idx.max(initial=0.0) < 2.0**63:
+        raise ConfigError(f"noise.hold = {spec.hold:g} numbers the intervals "
+                          f"up to t = {np.abs(times).max():g} beyond int64")
+    idx = idx.astype(np.int64).view(np.uint64)
     first = np.ones(idx.size, bool)
     first[1:] = idx[1:] != idx[:-1]
     starts = np.flatnonzero(first)

@@ -37,8 +37,10 @@ P*G, but solve the recurrence in closed form on the states they keep.
 
 Once every state of the history is found finite, V, y and the norms of
 e, z and z_res are filled in CHUNK_ROWS-row blocks, each by the
-whole-array expressions (so with the same bits): no full-length temporary
-and no z_hat history is kept.
+whole-array expressions (so with the same bits; ``row_norms`` keeps
+NumPy's summation order): no full-length temporary and no z_hat history
+is kept.  Both finiteness tests take one block at a time and locate the
+row only in a block that fails.
 
 Only the states that X(0) and the forcing reach through the nonzeros of M
 are stepped.  That set is closed under M, so RK4 on its sub-block of M is
@@ -47,7 +49,8 @@ coupling) stay 0.0.  The spectrum, cap, dt and history limit use all of M.
 
 An unstable M (max Re eig(M) >= 0) is refused before stepping when dt is
 unset; with dt given it is integrated, and a non-finite state ends the
-run with a DivergenceError.
+run with a DivergenceError.  So does a derived series that overflows
+while the state stays finite (a norm squares states above 1e154).
 """
 
 import math
@@ -363,9 +366,36 @@ def _states(X, live, lo, hi):
     return out
 
 
+def row_norms(x):
+    """Euclidean norm of each row of a 2-D float array: the bits of
+    ``np.linalg.norm(x, axis=1)``.  NumPy adds the squares of a row
+    narrower than 8 left to right; summing the columns of a transposed
+    copy in that order gives the same bits without a reduction per row.
+    Wider rows (NumPy sums them pairwise) and empty ones go to NumPy."""
+    if not 0 < x.shape[1] < 8:
+        return np.linalg.norm(x, axis=1)
+    sq = np.square(x.T, order="C")
+    for column in sq[1:]:
+        sq[0] += column
+    return np.sqrt(sq[0])
+
+
+def _first_nonfinite(rows):
+    """Index of the first row of ``rows`` holding nan or inf, or None; the
+    rows are located only when the whole block fails one test."""
+    if np.isfinite(rows).all():
+        return None
+    return int(np.argmin(np.isfinite(rows).all(axis=1)))
+
+
 def simulate(system, gains, disturbance, noise, config):
     """Integrate the coupled system over [0, t_final] and collect histories;
-    states outside ``CoupledDynamics.live`` come back as exact zeros."""
+    states outside ``CoupledDynamics.live`` come back as exact zeros.
+
+    Raises DivergenceError at the first step with a non-finite state; with
+    every state finite, at the first step where V, y or a norm overflowed,
+    naming those series.
+    """
     dyn = CoupledDynamics(system, gains, disturbance, noise, config)
     N, dt, live = dyn.N, dyn.dt, dyn.live
 
@@ -390,13 +420,15 @@ def simulate(system, gains, disturbance, noise, config):
     c[:, -1] = noise_samples(dyn.noise, np.arange(count) * (dt / 2.0))
     dyn.rk4.run(X, c)
     xi = c[::2, -1].copy()   # the noise channel
-    force_sup = system.params.a2 * float(np.max(np.linalg.norm(
-        c[::2, : dyn.retained_forced], axis=1)))
-    del c, columns           # freed before the post-processing temporaries
+    force = c[::2, : dyn.retained_forced]      # the retained modes' forces
+    force_sup = system.params.a2 * float(np.max([
+        np.max(row_norms(force[i0 : i0 + CHUNK_ROWS]))
+        for i0 in range(0, n_steps + 1, CHUNK_ROWS)]))
+    del c, columns, force    # freed before the post-processing temporaries
     for i0 in range(1, n_steps + 1, CHUNK_ROWS):
-        finite = np.isfinite(X[i0 : i0 + CHUNK_ROWS]).all(axis=1)
-        if not finite.all():
-            step = i0 + int(np.argmin(finite))   # row i is the state at step i
+        k = _first_nonfinite(X[i0 : i0 + CHUNK_ROWS])
+        if k is not None:
+            step = i0 + k                      # row i is the state at step i
             raise DivergenceError(step, step * dt)
 
     z = _states(X, live, 0, 2 * N)
@@ -405,15 +437,26 @@ def simulate(system, gains, disturbance, noise, config):
     a, b = np.searchsorted(live, [4 * N, dyn.dim])   # reached residual states
     X_res, C_res = X[:, a:b], dyn.block.C[live[a:b] - 4 * N]
     # block by block, each row by the whole-array expression: the bits stay
-    # (V keeps the -0 of a zero z_hat, which (z - e) @ -K would make +0)
-    V, y, norm_e, norm_z, norm_res = np.empty((5, n_steps + 1))
+    # (V keeps the -0 of a zero z_hat, which (z - e) @ -K would make +0).
+    # A finite state can still overflow them (a norm squares it), which
+    # ends the run like a non-finite state.
+    derived = np.empty((5, n_steps + 1))
+    V, y, norm_e, norm_z, norm_res = derived
     for i0 in range(0, n_steps + 1, CHUNK_ROWS):
         s = slice(i0, i0 + CHUNK_ROWS)
-        V[s] = -((z[s] - e[s]) @ dyn.K)
-        y[s] = z[s] @ system.C + X_res[s] @ C_res + xi[s]
-        norm_e[s] = np.linalg.norm(e[s], axis=1)
-        norm_z[s] = np.linalg.norm(z[s], axis=1)
-        norm_res[s] = np.linalg.norm(X_res[s], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            V[s] = -((z[s] - e[s]) @ dyn.K)
+            y[s] = z[s] @ system.C + X_res[s] @ C_res + xi[s]
+            norm_e[s] = row_norms(e[s])
+            norm_z[s] = row_norms(z[s])
+            norm_res[s] = row_norms(X_res[s])
+        k = _first_nonfinite(derived[:, s].T)
+        if k is not None:
+            step = i0 + k
+            names = ("V", "y", "norm_e", "norm_z", "norm_residual")
+            finite = np.isfinite(derived[:, step])
+            raise DivergenceError(step, step * dt, ", ".join(
+                name for name, ok in zip(names, finite) if not ok))
 
     return SimulationResult(
         t=t, z=z, e=e, residual=res, V=V, y=y, norm_e=norm_e, norm_z=norm_z,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import held_noise_per_sample
 from piezobeam.beam import BeamParams
+from piezobeam.errors import ConfigError
 from piezobeam.modal import (
     DampingModel,
     Placement,
@@ -315,6 +316,17 @@ def test_unresolved_hold_raises():
     spec = NoiseSpec(bound=0.01)
     with pytest.raises(ValueError):
         noise_sample(spec, 1.0)
+
+
+def test_noise_interval_index_beyond_int64_is_refused():
+    # t / hold is cast to int64; noise.hold's range keeps every config with
+    # mode 1's roots in M inside it, and this refuses the rest (explicit
+    # gains that pull every pole near 0 allow a dt of seconds)
+    spec = NoiseSpec(bound=1.0, seed=3, hold=1e-12)
+    assert np.all(np.abs(noise_samples(spec, np.array([0.0, 9e6]))) <= 1.0)
+    for t in (1e7, -1e7):
+        with pytest.raises(ConfigError, match="noise.hold = 1e-12 numbers"):
+            noise_samples(spec, np.array([0.0, t]))
 
 
 def test_noise_spec_validation():

@@ -35,6 +35,7 @@ from piezobeam.simulate import (
     CoupledDynamics,
     Coupling,
     SimConfig,
+    row_norms,
     simulate,
     simulate_residual_mode,
     stability_cap,
@@ -890,3 +891,75 @@ def test_residual_mode_resonant_amplitude():
 def test_residual_mode_requires_damping():
     with pytest.raises(ValueError):
         simulate_residual_mode(BeamParams(a1=0.0, a2=1.0), 4, [(1.0, 1.0, 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# output tail: row norms and the blocked finiteness tests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("width", [*range(13), 40, 130, 400])
+def test_row_norms_are_numpy_norms_bit_for_bit(width):
+    # rows narrower than 8 are summed column by column, the others by
+    # NumPy; both must give np.linalg.norm's bits, on contiguous blocks and
+    # on strided column views of a wider history alike
+    rng = np.random.default_rng(width)
+    history = (rng.standard_normal((1501, width + 5))
+               * 10.0 ** rng.integers(-8, 9, (1501, width + 5)))
+    history[::7, 1] = -0.0
+    history[3] = -0.0
+    huge = history[5::11, 2:]                  # squares overflow
+    huge[:] = 10.0 ** rng.uniform(150, 160, huge.shape)
+    views = [history[:, 2 : 2 + width], history[::3, 3 : 3 + width],
+             np.ascontiguousarray(history[:7, 1 : 1 + width]),
+             history[:1, :width]]
+    with np.errstate(over="ignore"):       # squares above 1e308 are inf
+        for x in views:
+            assert row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+
+
+def first_nonfinite_row(*series):
+    """First row where any of the 1-D or 2-D histories is non-finite."""
+    bad = np.zeros(len(series[0]), bool)
+    for s in series:
+        bad |= ~np.isfinite(s).reshape(len(s), -1).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+@pytest.mark.parametrize("edge", ["first", "last"])
+def test_nonfinite_rows_at_block_edges_keep_their_step(monkeypatch, edge):
+    # a diverging run: first its non-finite state, then, with the horizon
+    # ending before it, the first step whose norm overflows from finite
+    # states; each is reported at its own step when it sits first or last
+    # in a block of the finiteness tests
+    system = assemble(PARAMS, 2, PATCH)
+    bad = unstable_gains(system)
+    dt = half_cap(system, bad)
+    cfg = SimConfig(t_final=10.0, dt=dt, seed=1)
+    dyn = CoupledDynamics(system, bad, NO_FORCE, NO_NOISE, cfg)
+    n = round(cfg.t_final / dt)
+    X = np.empty((n + 1, dyn.live.size))
+    X[0] = dyn.x0[dyn.live]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dyn.rk4.run(X, np.zeros((2 * n + 1, dyn.G.shape[1])))
+        state_step = first_nonfinite_row(X)
+        z, e = X[:, :4], X[:, 4:]
+        norm_step = first_nonfinite_row(
+            (z - e) @ bad.K, z @ system.C, np.linalg.norm(z, axis=1),
+            np.linalg.norm(e, axis=1))
+    assert 2 < norm_step < state_step
+    short = replace(cfg, t_final=(state_step - 1) * dt)
+    sim_module = importlib.import_module("piezobeam.simulate")
+    # state blocks start at rows 1 + jC, derived blocks at rows jC
+    for run, step, chunk in ((cfg, state_step, state_step - 1),
+                             (short, norm_step, norm_step)):
+        monkeypatch.setattr(sim_module, "CHUNK_ROWS",
+                            chunk if edge == "first" else chunk + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                simulate(system, bad, NO_FORCE, NO_NOISE, run)
+        assert err.value.step == step
+        assert err.value.time == step * dt
+    # the negated observer gain makes e, and with K = 0 nothing else, grow
+    assert err.value.what == "norm_e"
+    assert str(err.value).startswith("norm_e became non-finite at step")
