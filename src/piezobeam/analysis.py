@@ -58,13 +58,16 @@ def build_bound_report(system, gains, F_bound, eps_bound):
     """Evaluate the steady-state bound terms and conditioning factors.
 
     The error-norm level inserted into the state bound (``e_bound_used``)
-    is the a-priori kappa_L-qualified steady error bound.
+    is the a-priori kappa_L-qualified steady error bound.  A state bound
+    that overflows raises OverflowError.
     """
     kappa_L = eigvec_condition(system.A - np.outer(gains.L, system.C))
     kappa_K = eigvec_condition(system.A - np.outer(system.B, gains.K))
     e_steady = (F_bound + gains.L_norm * eps_bound) / gains.lambda_L
     e_bound_used = kappa_L * e_steady
     z_steady = (F_bound + gains.BK_norm * e_bound_used) / gains.lambda_K
+    if not math.isfinite(z_steady):
+        raise OverflowError("z_steady_bound is not finite")
     return BoundReport(
         lambda_L=gains.lambda_L, lambda_K=gains.lambda_K,
         L_norm=gains.L_norm, BK_norm=gains.BK_norm,
@@ -124,8 +127,7 @@ def residual_bounds(params, f0, N, K_max, damping_model=DampingModel.STRUCTURAL,
     tail_uniform = a2 * f0 / (a1 * math.pi**2 * (N + 1))
     tail_smooth = a2 * f0 / (3.0 * a1 * math.pi**2 * (N + 1) ** 3)
 
-    sims = None
-    exponent = None
+    sims = exponent = None
     if simulate_fit and f0 > 0.0:
         omegas = resonant_frequencies(params, modes, damping_model)
         sims = np.array([
@@ -184,22 +186,14 @@ def residual_tail_study(params, f0, n_values, R, regime,
     if len(set(n_values.tolist())) < 2:
         raise ValueError("the tail slope needs at least two distinct N, "
                          f"got {n_values.tolist()}")
-    needed = sorted({
-        int(k) for N in n_values for k in range(N + 1, N + R + 1)
-    })
-    unit = {}
-    for k, om in zip(needed, resonant_frequencies(params, needed,
-                                                  damping_model)):
-        unit[k] = simulate_residual_mode(params, k, [(1.0, float(om), 0.0)],
-                                         damping_model=damping_model)[0]
-    sums = []
-    for N in n_values:
-        total = 0.0
-        for k in range(N + 1, N + R + 1):
-            amp = f0 if regime == "uniform" else f0 / k**2
-            total += amp * unit[k]
-        sums.append(total)
-    sums = np.array(sums)
+    needed = sorted({int(k) for N in n_values
+                     for k in range(N + 1, N + R + 1)})
+    unit = {k: simulate_residual_mode(params, k, [(1.0, float(om), 0.0)],
+                                      damping_model=damping_model)[0]
+            for k, om in zip(needed, resonant_frequencies(params, needed,
+                                                          damping_model))}
+    sums = np.array([sum((f0 if regime == "uniform" else f0 / k**2) * unit[k]
+                         for k in range(N + 1, N + R + 1)) for N in n_values])
     slope = float(np.polyfit(np.log(n_values.astype(float)), np.log(sums), 1)[0])
     return TailStudy(regime=regime, n_values=n_values, tail_sums=sums,
                      slope=slope)
@@ -254,8 +248,7 @@ def performance_metrics(result):
     i_peak = int(np.argmax(ne))
     peak = float(ne[i_peak])
 
-    level = 2.0 * band
-    above = np.nonzero(ne > level)[0]
+    above = np.nonzero(ne > 2.0 * band)[0]
     settle = 0.0 if above.size == 0 else float(result.t[min(above[-1] + 1,
                                                             len(result.t) - 1)])
 

@@ -4,7 +4,7 @@ Usage:
     piezobeam <subcommand> --config <path> [--out <dir>] [--seed <u64>]
 
 All artifacts are CSV files written with 12 significant digits (the bytes
-of ``%.12g``; the timeseries array is formatted exactly by NumPy digit
+of ``%.12g``; every all-number table is formatted exactly by NumPy digit
 tables, see ``write_csv``) and LF line endings, so repeated runs with the
 same config and seed are byte-identical.
 Exit codes: 0 success, 1 failed placement check, 2 configuration error,
@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import replace
 from functools import cache
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -55,25 +55,10 @@ _ZERO = 18 * 24     # patterns of +0 and -0; _ZERO + 2 keeps no byte
 _TIE_MARGIN = 0.4997   # below 0.5 - 2.44e-4, see _write_array
 
 
-@cache
-def _number_format(width):
-    """%-format of a row of ``width`` numbers; ``%.12g`` matches ``_fmt``."""
-    return ",".join(["%.12g"] * width) + "\n"
-
-
 def _row_format(row):
     """%-format of one row: strings as they are, numbers as ``_fmt``."""
     return ",".join("%s" if isinstance(v, str) else "%.12g"
                     for v in row) + "\n"
-
-
-def _chunk_text(chunk):
-    """CSV lines of a list of rows, formatted by one %-format string."""
-    values = tuple(chain.from_iterable(chunk))
-    try:
-        return "".join([_number_format(len(row)) for row in chunk]) % values
-    except TypeError:   # strings among the values
-        return "".join([_row_format(row) for row in chunk]) % values
 
 
 @cache
@@ -130,7 +115,7 @@ def _write_array(fh, rows):
     quad, tz2, base, expw, p10, keep = _record_tables()
     width = rows.shape[1]
     sep = np.array([ord(",")] * (width - 1) + [ord("\n")], np.uint64) << 40
-    buf = bytearray(40 * CSV_CHUNK_ROWS * width)     # the chunk's records
+    buf = bytearray(40 * min(len(rows), CSV_CHUNK_ROWS) * width)   # records
     text = np.frombuffer(buf, np.uint64).reshape(-1, 5)
     for i0 in range(0, len(rows), CSV_CHUNK_ROWS):
         block = rows[i0 : i0 + CSV_CHUNK_ROWS]
@@ -169,31 +154,35 @@ def _write_array(fh, rows):
 
 
 def write_csv(path, header, rows):
-    """Write rows of numbers/strings with deterministic formatting.
+    """Write a table of numbers and text cells with deterministic bytes.
 
-    A 2-D float array goes through ``_write_array``, whose text is exact by
-    construction: the same bytes as ``%.12g`` of each value.  Rows holding
-    nan, inf, a value beyond 1e+-290 or one near a 12-digit rounding tie
-    fall back to ``_fmt``.  Any other iterable of rows is iterated once and
-    written a chunk of rows at a time through one %-format string.  Both
-    paths work CSV_CHUNK_ROWS rows at a time.  An output directory that
-    cannot be created (a file in its place or on its path) is a
-    ConfigError naming it, raised before the file is opened.
+    Rows that are not an array are read once.  A table that converts to one
+    2-D float array (every cell a number) goes through ``_write_array``,
+    whose text is exact by construction: the bytes of ``%.12g`` of each
+    value (rows holding nan, inf, a value beyond 1e+-290 or one near a
+    12-digit rounding tie fall back to ``_fmt``).  A table with a text cell
+    is written by one %-format string: text as it is, numbers as ``_fmt``.
+    An output directory that cannot be created (a file in its place or on
+    its path) is a ConfigError naming it, raised before the file is opened.
     """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:      # a file in the way, no permission, ...
         raise ConfigError(f"cannot create output directory {path.parent}: "
                           f"{exc.strerror}") from None
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    try:
+        table = np.asarray(rows, dtype=np.float64)
+    except ValueError:      # a text cell (or rows of unequal length)
+        table = None
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        if (isinstance(rows, np.ndarray) and rows.ndim == 2
-                and rows.shape[1] and rows.dtype.kind == "f"):
-            _write_array(fh, rows)
+        if table is not None and table.ndim == 2 and table.shape[1]:
+            _write_array(fh, table)
         else:
-            rows = iter(rows)
-            while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-                fh.write(_chunk_text(chunk).encode())
+            fh.write(("".join(map(_row_format, rows))
+                      % tuple(chain.from_iterable(rows))).encode())
     return path
 
 
@@ -222,9 +211,8 @@ def cmd_tune(config, out_dir):
     gains = config.build_gains(system)
     if gains is None:
         raise ConfigError("gains.strategy is 'none'; nothing to tune")
-    rows = [("lambda_L", gains.lambda_L), ("lambda_K", gains.lambda_K),
-            ("K_norm", gains.K_norm), ("L_norm", gains.L_norm),
-            ("BK_norm", gains.BK_norm)]
+    rows = [(name, getattr(gains, name)) for name in (
+        "lambda_L", "lambda_K", "K_norm", "L_norm", "BK_norm")]
     rows += [(f"K_{i}", v) for i, v in enumerate(gains.K)]
     rows += [(f"L_{i}", v) for i, v in enumerate(gains.L)]
     path = write_csv(out_dir / f"{config.label}_gains.csv",
@@ -264,8 +252,9 @@ def cmd_bounds(config, out_dir):
     K_max = config.N + max(config.sim.residual_modes, 1)
     res = residual_bounds(config.params, config.disturbance.f_max, config.N,
                           K_max, config.damping)
-    report = build_bound_report(system, gains, config.F_bound,
-                                config.eps_bound)
+    with config.bound_overflow():
+        report = build_bound_report(system, gains, config.F_bound,
+                                    config.eps_bound)
     rows = [(name, getattr(report, name)) for name in (
         "lambda_L", "lambda_K", "L_norm", "BK_norm", "F_bound", "eps_bound",
         "e_bound_used", "e_steady_bound", "z_steady_bound",
@@ -279,11 +268,10 @@ def cmd_bounds(config, out_dir):
         config.params, DampingModel.STRUCTURAL, res.modes)
     rates_kv = damping_decay_rates(
         config.params, DampingModel.KELVIN_VOIGT, res.modes)
-    rows = []
-    for i, k in enumerate(res.modes):
-        sup = res.simulated_sup[i] if res.simulated_sup is not None else ""
-        rows.append((k, res.per_mode_bound[i], sup,
-                     rates_struct[i], rates_kv[i]))
+    sups = res.simulated_sup
+    rows = list(zip(res.modes, res.per_mode_bound,
+                    [""] * len(res.modes) if sups is None else sups,
+                    rates_struct, rates_kv))
     path = write_csv(
         out_dir / f"{config.label}_residual.csv",
         ["mode", "amplitude_bound", "simulated_sup",

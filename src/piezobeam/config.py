@@ -50,7 +50,7 @@ OUTPUT_DIR_ENV = "PIEZOBEAM_OUT"
 KEYS = {
     "label": ("text?", None),
     # a1 > 2 already overdamps every structural mode; above 1e3 tune's
-    # placed spectrum misses its targets (29% at 1e4 on fig1)
+    # placed spectrum misses its targets (fig1: 1.3e-6 at 2e3, 1.1e-4 at 1e4)
     "beam.a1": ("float", 0.01, (-inf, 1e3)),
     # every force, F_bound and residual bound scale with a2; 1e308 overflows
     "beam.a2": ("float", 1.0, (-inf, 1e6)),
@@ -238,10 +238,21 @@ class ExperimentConfig:
             return None
         if self.gains["strategy"] == "explicit":
             return GainSet.from_matrices(system, self.gains["K"], self.gains["L"])
-        return tune_gains(
-            system, self.F_bound, self.eps_bound, self.gains["lambda_grid"],
-            lambda_L=self.lambda_L,
-        )
+        with self.bound_overflow():
+            return tune_gains(
+                system, self.F_bound, self.eps_bound,
+                self.gains["lambda_grid"], lambda_L=self.lambda_L,
+            )
+
+    @contextmanager
+    def bound_overflow(self):
+        """Refuse an overflow of the bounds, which scale with eps_bound, as a
+        ConfigError naming it and the (unranged) noise.bound it defaulted to."""
+        key = "gains.eps_bound"
+        if self.gains["eps_bound"] is None:
+            key += f" (defaulted to noise.bound = {self.noise.bound:g})"
+        with _coerced(f"{key}: the bounds overflow"), np.errstate(over="raise"):
+            yield
 
 
 @contextmanager

@@ -7,12 +7,12 @@ decoupled oscillators
 
 with d_n = a1 sigma_n^2 (structural damping) or a1 sigma_n^4 (Kelvin-Voigt)
 and b_n = psi_n'(x2) - psi_n'(x1) from the patch edges.  The oscillator is
-solved here only: ``mode_roots`` (per-mode roots), ``resonant_frequencies``
-(the drive frequency of the resonant forcing, from those roots) and
-``oscillator_matrix`` (its [[0, I], [-sigma^4, -d]] block).  One function
-adds the patch and sensor rows to it for modes 1..N (``assemble``) and for
-the uncontrolled residual modes N+1..N+R of the spillover studies
-(``residual_block``).
+solved here only: its roots and the drive frequency of a resonant forcing
+from (sigma^4, d) (``oscillator_roots``, ``oscillator_frequencies``; per
+mode ``mode_roots``, ``resonant_frequencies``) and its [[0, I], [-sigma^4,
+-d]] block (``oscillator_matrix``).  One function adds the patch and sensor
+rows to it for modes 1..N (``assemble``) and for the uncontrolled residual
+modes N+1..N+R of the spillover studies (``residual_block``).
 """
 
 import math
@@ -44,27 +44,36 @@ def _stiffness(modes):
     return ((np.asarray(modes, dtype=float) * math.pi) ** 2) ** 2
 
 
-def mode_roots(params, modes, model=DampingModel.STRUCTURAL):
-    """(slow, fast) roots of lambda^2 + d_n lambda + sigma_n^4 = 0 per mode.
+def oscillator_roots(s4, d):
+    """(slow, fast) roots of lambda^2 + d lambda + s4 = 0, elementwise.
 
     Complex arrays; slow has Im > 0 while underdamped and is nearer zero
-    when overdamped.  The overdamped slow root is sigma^4 / fast (Vieta):
-    (-d + sqrt(d^2 - 4 sigma^4)) / 2 cancels when d^2 >> sigma^4.
+    when overdamped.  The overdamped slow root is s4 / fast (Vieta):
+    (-d + sqrt(d^2 - 4 s4)) / 2 cancels when d^2 >> s4.
     """
-    s4 = _stiffness(modes)
-    d = damping_coefficients(params, modes, model)
     disc = np.sqrt((d * d - 4.0 * s4).astype(complex))
     fast = (-d - disc) / 2.0
     slow = np.where(disc.real > 0.0, s4 / fast, (-d + disc) / 2.0)
     return slow, fast
 
 
+def oscillator_frequencies(s4, d):
+    """Per-oscillator drive frequency: |Im| of the slow root, or sqrt(s4) =
+    sigma^2 when the roots are real (overdamped)."""
+    im = np.abs(oscillator_roots(s4, d)[0].imag)
+    return np.where(im > 0.0, im, np.sqrt(s4))
+
+
+def mode_roots(params, modes, model=DampingModel.STRUCTURAL):
+    """``oscillator_roots`` of modes with sigma_n^4 and d_n of ``model``."""
+    return oscillator_roots(_stiffness(modes),
+                            damping_coefficients(params, modes, model))
+
+
 def resonant_frequencies(params, modes, model=DampingModel.STRUCTURAL):
-    """Per-mode drive frequency: |Im| of the slow root, or sigma_n^2 when the
-    mode is overdamped and its roots are real."""
-    im = np.abs(mode_roots(params, modes, model)[0].imag)
-    s2 = (np.asarray(modes, dtype=float) * math.pi) ** 2
-    return np.where(im > 0.0, im, s2)
+    """``oscillator_frequencies`` of modes: the drive frequency of each."""
+    return oscillator_frequencies(_stiffness(modes),
+                                  damping_coefficients(params, modes, model))
 
 
 def oscillator_matrix(params, modes, model=DampingModel.STRUCTURAL):

@@ -27,7 +27,7 @@ from .errors import (
     SingularControllabilityError,
     UnstableMatrixError,
 )
-from .modal import damping_coefficients
+from .modal import _stiffness, damping_coefficients, oscillator_frequencies
 
 # Entries of B/C whose closed-form factor is below this (relative to the
 # sqrt(2) n pi scale) count as exact zeros of the placement test.
@@ -96,14 +96,13 @@ def check_placement(system):
     """
     pl = system.placement
     modes = system.modes
-    reasons = []
-    warnings = []
+    reasons, warnings = [], []
 
     sin_fac = np.abs(sin_pi(modes * pl.x0))
     scale = max(abs(pl.s1), abs(pl.s2))
     s1, s2 = pl.s1 / scale, pl.s2 / scale
     d = damping_coefficients(system.params, modes, system.damping_model)
-    s4 = ((modes * np.pi) ** 2) ** 2
+    s4 = _stiffness(modes)
     zero_fac = (np.abs(s1 * s1 - s1 * s2 * d + s2 * s2 * s4)
                 / (s1 * s1 + abs(s1 * s2) * d + s2 * s2 * s4))
     obs_fac = np.minimum(sin_fac, zero_fac)
@@ -157,9 +156,7 @@ def _check_conjugate_symmetric(targets, n):
     1e-9 of max(1, max |target|).  All rows are sorted in one lexsort, with
     the side (above, below, on the axis) as the leading key.
     """
-    targets = np.asarray(targets, dtype=complex)
-    if targets.ndim == 0:
-        targets = targets.reshape(1)
+    targets = np.atleast_1d(np.asarray(targets, dtype=complex))
     if targets.ndim > 2 or targets.shape[-1] != n:
         raise ValueError(f"expected {n} target poles, got {targets.shape}")
     rows = targets.reshape(-1, n)
@@ -285,22 +282,23 @@ def eigvec_condition(M):
 def radial_pole_targets(A, lam):
     """Default closed-loop target pattern for a modal plant.
 
-    Keeps each mode's damped frequency and spreads the real parts over
-    [-lam, -2*lam*(1 - 1/(2N))]: mode n (ordered by frequency) goes to
-    -lam * (1 + (n-1)/N) +/- i Im(lambda_n).  min |Re| = lam by design.
-    A scalar rate gives (2N,) targets, a 1-D array of G rates (G, 2N).
+    Keeps each mode's drive frequency om_n (``oscillator_frequencies`` of
+    sigma_n^4 = -A[N+n, n] and d_n = -A[N+n, N+n]; sigma_n^2 when
+    overdamped, so no target is a double pole) and spreads the real parts
+    over [-lam, -2*lam*(1 - 1/(2N))]: mode n (ordered by frequency) goes to
+    -lam * (1 + (n-1)/N) +/- i om_n.  min |Re| = lam by design.  A scalar
+    rate gives (2N,) targets, a 1-D array of G rates (G, 2N).
     """
-    eigs = np.linalg.eigvals(np.asarray(A, dtype=float))
-    n = len(eigs)
-    if n % 2:
+    A = np.asarray(A, dtype=float)
+    N, odd = divmod(len(A), 2)
+    if odd:
         raise ValueError("expected an even-dimensional two-block modal plant")
-    N = n // 2
-    # |Im| appears twice per mode; sort the flat array and take every other
-    ims = np.sort(np.abs(eigs.imag))[::2]
+    k = np.arange(N)
+    ims = np.sort(oscillator_frequencies(-A[N + k, k], -A[N + k, N + k]))
     lam = np.asarray(lam, dtype=float)
-    re = -lam[..., None] * (1.0 + np.arange(N) / N)
+    re = -lam[..., None] * (1.0 + k / N)
     return np.stack([re + 1j * ims, re - 1j * ims], axis=-1).reshape(
-        *lam.shape, n)
+        *lam.shape, 2 * N)
 
 
 # ---------------------------------------------------------------------------

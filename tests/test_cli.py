@@ -241,6 +241,28 @@ def test_bad_inputs_exit_with_their_documented_code(tmp_path, capsys, command,
     assert not out.exists()     # refused before any artifact is written
 
 
+@pytest.mark.parametrize("command, bound, code", [
+    ("tune", 1e308, 2), ("simulate", 1e308, 2), ("bounds", 1e308, 2),
+    ("tune", 1e300, 0), ("simulate", 1e300, 4), ("bounds", 1e300, 2),
+])
+def test_eps_bound_overflow_names_the_noise_bound(tmp_path, capsys, command,
+                                                   bound, code):
+    # gains.eps_bound left null takes noise.bound, which has no range: 1e308
+    # overflowed ||L|| eps_bound in tune with a RuntimeWarning, and 1e300
+    # made bounds write z_steady_bound = inf with exit 0.  1e300 is still a
+    # noise level that tune accepts and simulate diverges on.
+    path = write_config(tmp_path, {"preset": "fig1", "noise": {"bound": bound},
+                                   "sim": {"t_final": 0.1}})
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith(f"config error: gains.eps_bound (defaulted to "
+                              f"noise.bound = {bound:g}): the bounds overflow")
+        assert not out.exists()
+
+
 EDGE_CONFIGS = {
     **{f"range-{i}": data for i, (data, _) in enumerate(OUT_OF_RANGE)},
     **{f"overflow-{i}": data for i, (data, _) in enumerate(OVERFLOWS)},
@@ -249,6 +271,7 @@ EDGE_CONFIGS = {
     "N-60-dt-unset": {"N": 60, "placement": {"x2": 0.1037, "x0": 0.0951},
                       "sim": {"dt": None}},
     "residual-200": {"sim": {"residual_modes": 200}},
+    "eps-default-1e308": {"noise": {"bound": 1e308}},
 }
 
 
@@ -326,13 +349,25 @@ def test_pole_placement_reaches_N_60(tmp_path, capsys, N):
 
 def test_tune_refuses_gains_that_miss_their_targets(tmp_path, capsys):
     # the overdamped modes' eigenbasis is ill-conditioned: tune exited 0
-    # with lambda_L = 33.997 for a pinned 34
-    path = write_config(tmp_path, {"preset": "fig1", "beam": {"a1": 1000}})
+    # with lambda_L = 33.997 for a pinned 34 on fig1 with a1 = 1000, which
+    # the sigma^2 targets now place; at N = 10 A - BK still misses by 1.6e-5
+    path = write_config(tmp_path, {"preset": "fig1", "N": 10,
+                                   "beam": {"a1": 10}})
     assert main(["tune", "--config", path, "--out", str(tmp_path)]) == 3
     out, err = capsys.readouterr()
     assert re.match(r"infeasible design: A - (BK|LC) at lambda = \d+ misses "
                     r"its target poles by \S+ relative", err)
     assert not (tmp_path / "fig1_gains.csv").exists()
+
+
+@pytest.mark.parametrize("a1", [2, 3, 10, 100, 1000])
+def test_tune_places_overdamped_fig1(tmp_path, capsys, a1):
+    # targets copied from eigvals(A) made each overdamped mode a double
+    # pole, which no placement meets to 1e-6: all but a1 = 3 exited 3
+    path = write_config(tmp_path, {"preset": "fig1", "beam": {"a1": a1}})
+    assert main(["tune", "--config", path, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "fig1_gains.csv").exists()
 
 
 def test_unstable_tuned_loop_names_its_matrix(tmp_path, capsys):
@@ -667,7 +702,7 @@ def test_csv_bytes_match_reference_writer(tmp_path):
 
     # the numbers table as a 2-D float array, written in array slices, and
     # the same array behind the counting iterable, as the benchmark tracer
-    # hands it over, which takes the row path
+    # hands it over, which is read into one array and takes the same path
     header, rows = tables["numbers"]
     assert len(rows) == 2 * CSV_CHUNK_ROWS + 1
     array = np.array(rows)
@@ -692,6 +727,45 @@ class CountingRows:
         for row in self.rows:
             self.n += 1
             yield row
+
+
+def test_all_number_tables_take_the_digit_tables(tmp_path, monkeypatch):
+    # the tracer's counting iterable over the timeseries array, the sweep
+    # table and a residual table with every sup went through a %-format row
+    # path; the gains table and the "" sup of a residual table still do
+    calls = []
+    write_array = cli._write_array
+    monkeypatch.setattr(cli, "_write_array",
+                        lambda fh, rows: calls.append(rows.shape)
+                        or write_array(fh, rows))
+    array = np.random.default_rng(2).standard_normal((2 * CSV_CHUNK_ROWS, 6))
+    tables = {
+        "counted": CountingRows(array),
+        "sweep": [(0.095, 0, 0.1, 34.0, 6.0, 31.04)] * 3,
+        "residual": [(np.int64(k), 1.0 / k, np.float64(0.5 / k), -1.0, -2.0)
+                     for k in range(4, 44)],
+        "text": [(k, 1.0 / k, "", -1.0, -2.0) for k in range(4, 44)],
+        "gains": [("lambda_L", 34.0), ("K_0", -0.0)],
+    }
+    for name, rows in tables.items():
+        path = write_csv(tmp_path / f"{name}.csv", ["h"], rows)
+        assert path.read_bytes() == reference_csv(["h"], list(rows)), name
+    assert calls == [(2 * CSV_CHUNK_ROWS, 6), (3, 6), (40, 5)]
+
+
+def test_small_table_allocates_only_its_own_records(tmp_path):
+    # a 3 x 5 table took a full CSV_CHUNK_ROWS x 5 record buffer
+    # (40 * 1024 * 5 = 204,800 bytes) and dropped the unused bytes of it
+    array = np.random.default_rng(4).standard_normal((3, 5))
+    write_csv(tmp_path / "warm.csv", list("abcde"), array)  # builds the tables
+    tracemalloc.start()
+    try:
+        path = write_csv(tmp_path / "s.csv", list("abcde"), array)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * CSV_CHUNK_ROWS * 5 // 8, peak   # about 12.5 kB
+    assert path.read_bytes() == reference_csv(list("abcde"), array.tolist())
 
 
 def percent_csv(path, header, array):

@@ -15,7 +15,12 @@ from piezobeam.errors import (
 )
 from piezobeam import synthesis
 from piezobeam.config import resolve_config
-from piezobeam.modal import DampingModel, Placement, assemble
+from piezobeam.modal import (
+    DampingModel,
+    Placement,
+    assemble,
+    resonant_frequencies,
+)
 from piezobeam.signals import NoiseSpec, build_disturbance
 from piezobeam.simulate import CoupledDynamics, SimConfig
 from piezobeam.synthesis import (
@@ -367,6 +372,22 @@ def test_radial_target_pattern():
     ims = sorted(abs(t.imag) for t in targets)
     open_ims = sorted(np.abs(np.linalg.eigvals(system.A).imag))
     np.testing.assert_allclose(ims, open_ims, rtol=1e-9)
+
+
+def test_radial_targets_keep_overdamped_modes_apart():
+    # eigvals(A) has Im = 0 on an overdamped mode, so both of its targets
+    # fell on one real double pole; they now sit at +/- i sigma^2, which
+    # are the resonant frequencies (bit for bit) under either damping model
+    params = BeamParams.dimensionless(a1=10.0)
+    for model in DampingModel:
+        system = assemble(params, 4, PATCH, model)
+        targets = radial_pole_targets(system.A, 8.0)
+        np.testing.assert_array_equal(
+            targets[::2].imag,
+            resonant_frequencies(params, system.modes, model))
+        np.testing.assert_array_equal(targets[::2].imag,
+                                      (system.modes * math.pi) ** 2)
+        assert len(set(targets.tolist())) == 8
 
 
 # ---------------------------------------------------------------------------
