@@ -10,13 +10,10 @@ from .analysis import (
     BoundReport,
     PerformanceMetrics,
     ResidualReport,
-    TailStudy,
     build_bound_report,
-    damping_decay_rates,
     error_bound_curve,
     performance_metrics,
     residual_bounds,
-    residual_tail_study,
     state_bound_curve,
 )
 from .beam import (

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .modal import DampingModel, mode_roots, resonant_frequencies
+from .modal import DampingModel, resonant_frequencies
 from .simulate import simulate_residual_mode
 from .synthesis import decay_rate, eigvec_condition
 
@@ -90,8 +90,7 @@ class ResidualReport:
     smooth envelope f0 / k^2 gives a2 f0 / (3 a1 pi^2 (N+1)^3).  Simulated
     per-mode amplitudes (sup of the (w, w') norm over the settled states
     of the RK4 recurrence, solved exactly, under resonant forcing, where
-    the bound is tight) and their fitted k-exponent are attached when the
-    simulation pass ran.
+    the bound is tight) and their fitted k-exponent are attached if f0 > 0.
     """
 
     N: int
@@ -103,8 +102,8 @@ class ResidualReport:
     decay_exponent: float = None
 
 
-def residual_bounds(params, f0, N, K_max, damping_model=DampingModel.STRUCTURAL,
-                    simulate_fit=True):
+def residual_bounds(params, f0, N, K_max,
+                    damping_model=DampingModel.STRUCTURAL):
     """Residual bounds for modes N+1..K_max plus a simulated decay-fit.
 
     Requires a1 > 0 (else ConfigError), f0 >= 0 and K_max > N.  The decay
@@ -128,7 +127,7 @@ def residual_bounds(params, f0, N, K_max, damping_model=DampingModel.STRUCTURAL,
     tail_smooth = a2 * f0 / (3.0 * a1 * math.pi**2 * (N + 1) ** 3)
 
     sims = exponent = None
-    if simulate_fit and f0 > 0.0:
+    if f0 > 0.0:
         omegas = resonant_frequencies(params, modes, damping_model)
         sims = np.array([
             simulate_residual_mode(params, int(k), [(f0, float(om), 0.0)],
@@ -143,60 +142,6 @@ def residual_bounds(params, f0, N, K_max, damping_model=DampingModel.STRUCTURAL,
         tail_sum_uniform=tail_uniform, tail_sum_smooth=tail_smooth,
         simulated_sup=sims, decay_exponent=exponent,
     )
-
-
-def damping_decay_rates(params, damping_model, k_range):
-    """Slowest decay rate Re(lambda_k) of each mode under the given damping.
-
-    Structural damping: Re = -a1 sigma_k^2 / 2 while underdamped, so the
-    rates grow without bound in k.  Kelvin-Voigt damping: the slow root's
-    real part tends to the k-independent constant -1/a1, which is what lets
-    spillover persist at high mode numbers.
-    """
-    ks = list(k_range)
-    if not ks:
-        raise ValueError("k_range must be nonempty")
-    return mode_roots(params, ks, damping_model)[0].real
-
-
-@dataclass
-class TailStudy:
-    """Tail sums of simulated residual amplitudes across truncation orders."""
-
-    regime: str
-    n_values: np.ndarray
-    tail_sums: np.ndarray
-    slope: float
-
-
-def residual_tail_study(params, f0, n_values, R, regime,
-                        damping_model=DampingModel.STRUCTURAL):
-    """Simulated spillover tail sum_(k=N+1..N+R) sup||(w_k, w_k')|| vs N.
-
-    Every residual mode is driven by a single cosine at its own resonant
-    frequency with amplitude f0 (uniform regime) or f0 / k^2 (smooth), the
-    worst-case content for which the per-mode bound is attained.  Responses
-    scale linearly in the amplitude, so each mode is integrated once at
-    unit amplitude and rescaled.  ``slope`` is the log-log fit of the tail
-    sum against N, so ``n_values`` must hold at least two distinct N.
-    """
-    if regime not in ("uniform", "smooth"):
-        raise ValueError(f"unknown tail regime {regime!r}")
-    n_values = np.asarray(sorted(n_values), dtype=int)
-    if len(set(n_values.tolist())) < 2:
-        raise ValueError("the tail slope needs at least two distinct N, "
-                         f"got {n_values.tolist()}")
-    needed = sorted({int(k) for N in n_values
-                     for k in range(N + 1, N + R + 1)})
-    unit = {k: simulate_residual_mode(params, k, [(1.0, float(om), 0.0)],
-                                      damping_model=damping_model)[0]
-            for k, om in zip(needed, resonant_frequencies(params, needed,
-                                                          damping_model))}
-    sums = np.array([sum((f0 if regime == "uniform" else f0 / k**2) * unit[k]
-                         for k in range(N + 1, N + R + 1)) for N in n_values])
-    slope = float(np.polyfit(np.log(n_values.astype(float)), np.log(sums), 1)[0])
-    return TailStudy(regime=regime, n_values=n_values, tail_sums=sums,
-                     slope=slope)
 
 
 # ---------------------------------------------------------------------------

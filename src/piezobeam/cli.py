@@ -19,12 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .analysis import (
-    build_bound_report,
-    damping_decay_rates,
-    performance_metrics,
-    residual_bounds,
-)
+from .analysis import build_bound_report, performance_metrics, residual_bounds
 from .config import load_config, resolve_out_dir
 from .errors import (
     ConfigError,
@@ -33,7 +28,7 @@ from .errors import (
     PlacementError,
     UnstableMatrixError,
 )
-from .modal import DampingModel, assemble
+from .modal import DampingModel, assemble, mode_roots
 from .simulate import simulate
 from .synthesis import check_placement
 
@@ -264,14 +259,11 @@ def cmd_bounds(config, out_dir):
                      ["name", "value"], rows)
     print(f"wrote {path}")
 
-    rates_struct = damping_decay_rates(
-        config.params, DampingModel.STRUCTURAL, res.modes)
-    rates_kv = damping_decay_rates(
-        config.params, DampingModel.KELVIN_VOIGT, res.modes)
     sups = res.simulated_sup
     rows = list(zip(res.modes, res.per_mode_bound,
                     [""] * len(res.modes) if sups is None else sups,
-                    rates_struct, rates_kv))
+                    *(mode_roots(config.params, res.modes, model)[0].real
+                      for model in DampingModel)))
     path = write_csv(
         out_dir / f"{config.label}_residual.csv",
         ["mode", "amplitude_bound", "simulated_sup",

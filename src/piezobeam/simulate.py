@@ -501,7 +501,16 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
 
     rk4 = RK4(M, np.array([[0.0], [params.a2]]), dt)
     R1 = rk4.R1
-    n = _step_count(t_final, dt, 2)
+    try:
+        n = _step_count(t_final, dt, 2)
+    except ConfigError:
+        raise ConfigError(
+            f"residual mode {k} would take {t_final / dt:.4g} RK4 steps of "
+            f"dt = {dt:.3e} to t = {t_final:.6g}, past its settle horizon "
+            f"{settle_time:.6g} ({settle_time * rate:.3g} decay times of "
+            f"1 / {rate:.4g}), over the limit of {MAX_HISTORY_VALUES} values "
+            f"of 2 states; beam.a1 = {params.a1:g} and damping: "
+            f"{damping_model.value} set the decay rate and dt") from None
     a, om, ph = np.array(harmonics, dtype=float).reshape(-1, 3).T
     q = np.exp(0.5j * dt * om)[:, None]
     w = (a * np.exp(1j * ph))[:, None] * (q ** np.arange(3) @ rk4.PG.T)

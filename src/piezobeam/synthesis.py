@@ -232,8 +232,8 @@ def place_poles(A, B, targets):
         dead = np.abs(bt) < 1e-13 * max(np.max(np.abs(bt)), 1e-300)
         if np.any(dead):
             raise SingularControllabilityError(
-                f"uncontrollable eigenvalue(s) {list(lam[dead])}"
-            )
+                "uncontrollable eigenvalue(s) "
+                + ", ".join(f"{v:.6g}" for v in lam[dead]))
         mu = np.empty_like(rows)
         mu[:, np.lexsort((lam.real, lam.imag))] = np.take_along_axis(
             rows, np.lexsort((rows.real, rows.imag)), axis=1)
@@ -367,7 +367,8 @@ def tune_gains(system, F_bound, eps_bound, lambda_grid, lambda_L=None):
 
     Raises NoFeasibleGainError for an empty grid, a decay rate <= 0, when
     no grid value lies below lambda_L, or when a chosen gain's spectrum
-    misses its targets (``GainSet.from_matrices``).
+    misses its targets (``GainSet.from_matrices``); an uncontrollable mode
+    is named by ``check_placement``.
     """
     grid = [float(g) for g in lambda_grid]
     if not grid and lambda_L is None:
@@ -382,7 +383,14 @@ def tune_gains(system, F_bound, eps_bound, lambda_grid, lambda_L=None):
         """(lam, gain, targets) at the first minimum of
         (F_bound + cost(|gain|)) / lam, all of ``lams`` placed at once."""
         targets = radial_pole_targets(system.A, lams)
-        gains = place(system.A, vec, targets)
+        try:
+            gains = place(system.A, vec, targets)
+        except SingularControllabilityError as exc:
+            verdict = check_placement(system)
+            if not verdict.offending_modes:
+                raise
+            raise SingularControllabilityError(
+                f"{exc}; {verdict.closed_form_reason}") from None
         best = None
         for i, lam in enumerate(lams):
             bound = (F_bound + cost(np.linalg.norm(gains[i]))) / lam

@@ -5,16 +5,20 @@ import pytest
 
 from piezobeam.analysis import (
     build_bound_report,
-    damping_decay_rates,
     error_bound_curve,
     performance_metrics,
     residual_bounds,
-    residual_tail_study,
     state_bound_curve,
 )
 from piezobeam.beam import BeamParams
 from piezobeam.errors import ConfigError
-from piezobeam.modal import DampingModel, Placement, assemble, damping_coefficients
+from piezobeam.modal import (
+    DampingModel,
+    Placement,
+    assemble,
+    damping_coefficients,
+    mode_roots,
+)
 from piezobeam.signals import NoiseSpec, build_disturbance, polyharmonic_disturbance
 from piezobeam.simulate import SimConfig, simulate
 from piezobeam.synthesis import eigvec_condition, tune_gains
@@ -98,7 +102,7 @@ def test_residual_bounds_zero_forcing():
 
 
 def test_residual_bounds_reference_values():
-    rep = residual_bounds(PARAMS, 11.0, N=3, K_max=6, simulate_fit=False)
+    rep = residual_bounds(PARAMS, 11.0, N=3, K_max=6)
     assert rep.tail_sum_uniform == pytest.approx(27.863325501642887, rel=1e-12)
     assert rep.tail_sum_smooth == pytest.approx(0.5804859479508935, rel=1e-12)
     np.testing.assert_allclose(
@@ -122,12 +126,10 @@ def test_residual_bounds_simulated_fit_exponent():
 
 
 def test_tail_monotonicity_in_N():
-    tails = [residual_bounds(PARAMS, 5.0, N=N, K_max=N + 1,
-                             simulate_fit=False).tail_sum_uniform
+    tails = [residual_bounds(PARAMS, 5.0, N=N, K_max=N + 1).tail_sum_uniform
              for N in range(1, 8)]
     assert all(a > b for a, b in zip(tails, tails[1:]))
-    smooth = [residual_bounds(PARAMS, 5.0, N=N, K_max=N + 1,
-                              simulate_fit=False).tail_sum_smooth
+    smooth = [residual_bounds(PARAMS, 5.0, N=N, K_max=N + 1).tail_sum_smooth
               for N in (1, 2, 4)]
     # exact exponent-3 scaling in (N+1) by construction
     assert smooth[0] / smooth[1] == pytest.approx((3 / 2) ** 3, rel=1e-12)
@@ -135,19 +137,19 @@ def test_tail_monotonicity_in_N():
 
 
 # ---------------------------------------------------------------------------
-# damping decay rates
+# damping decay rates: Re of each mode's slow root
 # ---------------------------------------------------------------------------
 
 def test_structural_decay_rates():
-    rates = damping_decay_rates(PARAMS, DampingModel.STRUCTURAL, [4])
+    rates = mode_roots(PARAMS, [4], DampingModel.STRUCTURAL)[0].real
     assert rates[0] == pytest.approx(-0.08 * math.pi**2, rel=1e-12)
-    r = damping_decay_rates(PARAMS, DampingModel.STRUCTURAL, [3, 6, 12])
+    r = mode_roots(PARAMS, [3, 6, 12])[0].real
     assert r[1] / r[0] == pytest.approx(4.0, rel=1e-12)
     assert r[2] / r[1] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_kelvin_voigt_rates_saturate():
-    rates = damping_decay_rates(PARAMS, DampingModel.KELVIN_VOIGT, [10, 20])
+    rates = mode_roots(PARAMS, [10, 20], DampingModel.KELVIN_VOIGT)[0].real
     assert abs(rates[1] - rates[0]) / abs(rates[0]) < 0.05
     # slow root approaches -1/a1
     assert rates[1] == pytest.approx(-1.0 / 0.01, rel=0.05)
@@ -166,7 +168,7 @@ def test_overdamped_decay_rates_are_free_of_cancellation(a1):
         over = d * d > 4.0 * s4
         if not over.any():      # structural damping below a1 = 2
             continue
-        rates = damping_decay_rates(params, model, modes[over])
+        rates = mode_roots(params, modes[over], model)[0].real
         for rate, dk, sk in zip(rates, d[over], s4[over]):
             stable = 2.0 * sk / (-dk - math.sqrt(dk * dk - 4.0 * sk))
             assert abs(rate - stable) <= 1e-14 * abs(stable)
@@ -174,33 +176,21 @@ def test_overdamped_decay_rates_are_free_of_cancellation(a1):
     assert checked >= 116
 
 
-def test_decay_rates_require_modes():
-    with pytest.raises(ValueError):
-        damping_decay_rates(PARAMS, DampingModel.STRUCTURAL, [])
-
-
 # ---------------------------------------------------------------------------
-# residual tail study
+# residual tail sums: windows over one residual_bounds report
 # ---------------------------------------------------------------------------
 
 def test_tail_study_slopes():
-    uni = residual_tail_study(PARAMS, 11.0, [2, 3, 4, 5], R=8,
-                              regime="uniform")
-    smooth = residual_tail_study(PARAMS, 11.0, [2, 3, 4, 5], R=8,
-                                 regime="smooth")
-    assert uni.slope == pytest.approx(-1.118, abs=0.1)
-    assert smooth.slope == pytest.approx(-2.576, abs=0.1)
-    assert np.all(np.diff(uni.tail_sums) < 0.0)
-    assert np.all(np.diff(smooth.tail_sums) < 0.0)
-    with pytest.raises(ValueError):
-        residual_tail_study(PARAMS, 11.0, [2, 3], R=4, regime="bogus")
-
-
-@pytest.mark.parametrize("n_values", [[3], [3, 3], []])
-def test_tail_study_needs_two_distinct_N(n_values):
-    # a log-log slope through one point read 1.108 with a RankWarning
-    with pytest.raises(ValueError, match="at least two distinct N"):
-        residual_tail_study(PARAMS, 11.0, n_values, R=2, regime="uniform")
+    # sum_(k=N+1..N+8) of the resonant sups, forced at 11 (uniform) or
+    # 11 / k^2 (smooth: the same sups over k^2, the response being linear)
+    rep = residual_bounds(PARAMS, 11.0, N=2, K_max=13)
+    Ns = np.array([2, 3, 4, 5])
+    for sups, slope in ((rep.simulated_sup, -1.118),
+                        (rep.simulated_sup / rep.modes**2, -2.576)):
+        sums = np.array([sups[N - 2 : N + 6].sum() for N in Ns])
+        assert np.polyfit(np.log(Ns), np.log(sums), 1)[0] == \
+            pytest.approx(slope, abs=0.1)
+        assert np.all(np.diff(sums) < 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from piezobeam import analysis, cli
 from piezobeam.cli import CSV_CHUNK_ROWS, _fmt, main, write_csv
 from piezobeam.config import PRESETS, load_config, resolve_config
 from piezobeam.errors import ConfigError
+from piezobeam.modal import DampingModel, mode_roots
 from piezobeam.signals import NoiseWaveform
 from piezobeam.simulate import RK4, Coupling, simulate
 from piezobeam.synthesis import radial_pole_targets
@@ -347,6 +348,26 @@ def test_pole_placement_reaches_N_60(tmp_path, capsys, N):
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9
 
 
+@pytest.mark.parametrize("command, data, reason", [
+    # mode 20 of the fig1 patch [0, 0.1]: cos(2 pi) = cos(0)
+    ("tune", {"preset": "fig1", "N": 20, "beam": {"a1": 5}},
+     "; mode 20: patch gain cos(20 pi x2) - cos(20 pi x1) = 0\n"),
+    # mode 4 of the patch [0.2, 0.3]: cos(0.8 pi) = cos(1.2 pi)
+    ("sweep", {"preset": "fig7",
+               "sweep": {"parameter": "patch", "values": [[0.2, 0.3]]}},
+     "; mode 4: patch gain cos(4 pi x2) - cos(4 pi x1) = 0\n"),
+])
+def test_uncontrollable_placement_names_the_mode(tmp_path, capsys, command,
+                                                 data, reason):
+    # the refusal printed "[np.complex128(-0.789...+157.9...j), ...]"
+    path = write_config(tmp_path, data)
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("infeasible design: uncontrollable eigenvalue(s) ")
+    assert err.endswith(reason)
+    assert "np." not in out + err
+
+
 def test_tune_refuses_gains_that_miss_their_targets(tmp_path, capsys):
     # the overdamped modes' eigenbasis is ill-conditioned: tune exited 0
     # with lambda_L = 33.997 for a pinned 34 on fig1 with a1 = 1000, which
@@ -443,12 +464,21 @@ def test_step_count_is_refused_before_allocation(tmp_path, capsys, t_final,
 
 def test_residual_mode_runs_have_the_same_step_limit(tmp_path, capsys):
     # at a1 = 1e-300 each residual mode of bounds would settle over 1.5e302
-    # steps: a run without end, now refused
-    path = write_config(tmp_path, {"preset": "fig1", "beam": {"a1": 1e-300}})
-    assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: t_final = ")
-    assert "steps; their 2-state history exceeds 16777216 values" in err
+    # steps: a run without end, now refused.  At a1 = 1000 the damping sets
+    # dt = 6.3e-7 against a settle horizon of 76; the refusal named a
+    # "t_final = 77.5824" and a history that bounds neither reads nor keeps
+    for a1, steps in ((1e-300, "1.528e+302"), (1000, "1.225e+08")):
+        path = write_config(tmp_path, {"preset": "fig1", "beam": {"a1": a1}})
+        assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: residual mode 4 would take "
+                              f"{steps} RK4 steps of dt = ")
+        assert "(12 decay times of 1 / " in err
+        assert "over the limit of 16777216 values of 2 states; " in err
+        assert err.endswith(f"beam.a1 = {a1:g} and damping: structural set "
+                            "the decay rate and dt\n")
+        assert "t_final" not in err and "history" not in err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 def test_simulate_row_count_and_header(tmp_path, capsys):
@@ -549,6 +579,20 @@ def test_bounds_solves_residual_modes_without_stepping(tmp_path, capsys,
     rows = (tmp_path / "fig7_residual.csv").read_text().splitlines()[1:]
     sups = [float(row.split(",")[2]) for row in rows]
     np.testing.assert_allclose(sups, FIG7_RESIDUAL_SUPS, rtol=1e-9, atol=0)
+
+
+def test_bounds_decay_rate_columns_are_the_mode_roots(tmp_path, capsys):
+    path = write_config(tmp_path, {"preset": "fig7",
+                                   "sim": {"residual_modes": 40}})
+    assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "fig7_residual.csv").read_text().splitlines()
+    assert lines[0].endswith(",decay_rate_structural,decay_rate_kelvin_voigt")
+    params = resolve_config({"preset": "fig7"}).params
+    modes = np.arange(6, 46)
+    want = zip(*(mode_roots(params, modes, model)[0].real for model in
+                 (DampingModel.STRUCTURAL, DampingModel.KELVIN_VOIGT)))
+    assert [line.split(",")[3:] for line in lines[1:]] == \
+        [[_fmt(s), _fmt(kv)] for s, kv in want]
 
 
 def test_sweep_command(tmp_path, capsys):
