@@ -49,13 +49,13 @@ OUTPUT_DIR_ENV = "PIEZOBEAM_OUT"
 # benchmark config; a value above one used to overflow or to run unbounded.
 KEYS = {
     "label": ("text?", None),
-    # a1 > 2 already overdamps every structural mode; above 1e3 tune's
-    # placed spectrum misses its targets (fig1: 1.3e-6 at 2e3, 1.1e-4 at 1e4)
+    # a1 > 2 overdamps every structural mode; above 1e3 eig(A - BK) misses
+    # tune's targets (fig1: 1.1e-6 at 2e3, 1.5e-4 at 1e4), backward exact
     "beam.a1": ("float", 0.01, (-inf, 1e3)),
     # every force, F_bound and residual bound scale with a2; 1e308 overflows
     "beam.a2": ("float", 1.0, (-inf, 1e6)),
     "beam.physical": ("mapping?", None),
-    # tune's pole placement is tested to 1e-9 up to here
+    # placed spectra meet their targets to 1e-10 up to here (patch x2 0.1037)
     "N": ("int", 3, (1, 60)),
     "placement.x1": ("float", 0.0),
     "placement.x2": ("float", 0.1),

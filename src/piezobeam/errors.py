@@ -14,7 +14,7 @@ class PlacementError(RuntimeError):
 
 
 class SingularControllabilityError(PlacementError):
-    """Pole placement hit an uncontrollable (or unobservable) mode."""
+    """Pole placement met a mode it cannot move or see, named by number."""
 
 
 class NoFeasibleGainError(PlacementError):

@@ -9,11 +9,11 @@ oracle takes each mode's 2x2 Kalman determinants from the assembled A, B, C
 (``_block_factors``), so it stays independent of the closed-form verdict
 and charges each rank loss to its mode.
 
-Gains come from single-input pole placement.  The closed-loop spectrum can
-be assigned freely once the pair is controllable/observable; gains are then
-selected on a decay-rate grid by minimizing the steady-state terms of the
-error/state norm bounds (disturbance-plus-noise over decay rate), the
-practical compromise that keeps high-gain noise amplification in check.
+Gains come from single-input pole placement on the N decoupled oscillators:
+from their closed-form roots each mode's share of the gain is one 2x2
+solve, with no eigendecomposition.  Gains are selected on a decay-rate grid
+by minimizing the steady-state terms of the error/state norm bounds
+(disturbance plus noise over decay rate), keeping noise gain in check.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,8 @@ from .errors import (
     SingularControllabilityError,
     UnstableMatrixError,
 )
-from .modal import _stiffness, damping_coefficients, oscillator_frequencies
+from .modal import (_stiffness, damping_coefficients, oscillator_frequencies,
+                    oscillator_roots)
 
 # Entries of B/C whose closed-form factor is below this (relative to the
 # sqrt(2) n pi scale) count as exact zeros of the placement test.
@@ -39,6 +40,10 @@ ILL_COND_BAND = (1e-13, 1e-5)
 # A tuned gain's closed-loop spectrum must meet its targets to this,
 # relative to the largest target magnitude.
 PLACE_TOL = 1e-6
+# A mode's placement determinant is 0 under this x sqrt(own x largest scale).
+DEAD_TOL = 1e-13
+# A mode's roots this close (relative) take the product rule, not a secant.
+ROOT_GAP = 0.1
 
 
 @dataclass
@@ -116,8 +121,7 @@ def check_placement(system):
     ctr_bad = {int(n) for n in modes[cos_fac <= ZERO_TOL]}
     for n in sorted(ctr_bad):
         reasons.append(
-            f"mode {n}: patch gain cos({n} pi x2) - cos({n} pi x1) = 0"
-        )
+            f"mode {n}: patch gain cos({n} pi x2) - cos({n} pi x1) = 0")
 
     lo, hi = ILL_COND_BAND
     for label, fac, oracle in zip(("observability", "controllability"),
@@ -127,12 +131,9 @@ def check_placement(system):
             if not lo < mag < hi:
                 raise InternalConsistencyError(
                     f"closed-form and block {label} tests disagree on "
-                    f"mode {n} (factor {mag:.3e})"
-                )
-            warnings.append(
-                f"{label} of mode {n} is ill-conditioned "
-                f"(factor {mag:.3e}); closed-form verdict used"
-            )
+                    f"mode {n} (factor {mag:.3e})")
+            warnings.append(f"{label} of mode {n} is ill-conditioned "
+                            f"(factor {mag:.3e}); closed-form verdict used")
 
     return PlacementVerdict(
         observable=not obs_bad,
@@ -175,83 +176,87 @@ def _check_conjugate_symmetric(targets, n):
     return targets
 
 
-def _ackermann(A, B, targets):
-    """Textbook Ackermann gain; fallback for defective open-loop spectra."""
-    n = A.shape[0]
-    ctrb = np.empty((n, n))
-    col = B.astype(float)
-    for j in range(n):
-        ctrb[:, j] = col
-        col = A @ col
-    poly = np.real(np.poly(targets))
-    pA = np.zeros_like(A)
-    for c in poly:
-        pA = pA @ A + c * np.eye(n)
-    try:
-        last_row = np.linalg.solve(ctrb.T, np.eye(n)[:, -1])
-    except np.linalg.LinAlgError as exc:
+def _oscillators(A):
+    """(sigma^4, d) of A = [[0, I], [-diag sigma^4, -diag d]]; any other A,
+    its transpose too, is refused: the placement holds for this form only."""
+    A = np.asarray(A, dtype=float)
+    N = len(A) // 2
+    if N and A.shape == (2 * N, 2 * N):
+        s4, d = -A.diagonal(-N), -A.diagonal()[N:]
+        if np.array_equal(A, np.diag(np.ones(N), N) - np.diag(s4, -N)
+                          - np.diag(np.concatenate([0.0 * d, d]))):
+            return s4, d
+    raise ValueError("expected a modal plant [[0, I], [-diag sigma^4, -diag d]]")
+
+
+def _solve_modes(m11, m12, m21, m22, lines, word):
+    """[u, v] with [[m11, m12], [m21, m22]] [u_n; v_n] = [alpha_n; beta_n] per
+    mode, lines = [alpha, beta]; a determinant at rounding level is refused."""
+    det = m11 * m22 - m12 * m21
+    alpha, beta = lines[..., :len(det)], lines[..., len(det):]
+    scale = np.abs(m11 * m22) + np.abs(m12 * m21)
+    dead = np.abs(det) <= DEAD_TOL * np.sqrt(scale * scale.max())
+    if dead.any():
         raise SingularControllabilityError(
-            "controllability matrix is singular"
-        ) from exc
-    return last_row @ pA
+            f"{word} mode(s) " + ", ".join(map(str, np.flatnonzero(dead) + 1)))
+    gain = np.concatenate([(alpha * m22 - m12 * beta) / det,
+                           (m11 * beta - m21 * alpha) / det], axis=-1)
+    if not np.isfinite(gain).all():
+        raise SingularControllabilityError(
+            f"pole placement overflowed to a non-finite gain at N = {len(det)}")
+    return gain
 
 
-@np.errstate(over="ignore", invalid="ignore")    # a non-finite K is refused
+@np.errstate(all="ignore")          # a non-finite gain is refused
 def place_poles(A, B, targets):
     """Single-input gain K with eig(A - B K) = targets, for one or G sets.
 
-    Solved in the eigenbasis of A: for distinct open-loop eigenvalues
-    lambda_i and transformed input b_i, the modal gain is
-
-        f_i = (lambda_i - mu_i) / b_i
-              * prod_{j != i} (lambda_i - mu_j) / (lambda_i - lambda_j)
-
-    and K = Re(f V^-1).  Pairing mu with lambda in sorted (Im, Re) order keeps
-    each ratio near one, so f stays finite (placed to 1e-9 up to N = 60).
-    A vanishing b_i is exactly the PBH uncontrollability of mode i.  Falls
-    back to Ackermann's formula if the open-loop spectrum is (near-)defective.
-    A gain that still overflows raises SingularControllabilityError naming N.
-
-    ``targets`` of shape (n,) gives K of shape (n,); a (G, n) batch gives
-    (G, n) gains from one eigendecomposition, one solve and one inverse.
+    A is N oscillators p_n(s) = s^2 + d_n s + sigma_n^4 (``_oscillators``):
+    det(sI - A + B K) = p(s) (1 + sum_n N_n(s) / p_n(s)), N_n the line
+    through g_n = q / prod_{m != n} p_m at mode n's roots x, y.  g_n is the
+    product of r_j = (s - mu_j) / (s - lambda_j), mu and lambda paired in
+    sorted (Im, Re) order, the mode's own two denominators 1.  Its slope is
+    the secant, or within ROOT_GAP the product rule sum_j r_<j(x) r_j[x, y]
+    r_>j(y), g_n'(x) at x = y.  Mode n's entries of K then solve k ((s +
+    d_n) b1 + b2) + kappa (s b2 - sigma_n^4 b1) = N_n(s), or name the mode.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float).reshape(-1)
-    n = A.shape[0]
-    targets = _check_conjugate_symmetric(targets, n)
-    rows = targets.reshape(-1, n)
-
-    lam, V = np.linalg.eig(A)
-    den = lam[:, None] - lam[None, :] + 0j
-    gaps = np.abs(den) + np.eye(n)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if np.min(gaps) < 1e-9 * scale:
-        K = np.array([_ackermann(A, B, t) for t in rows])
-    else:
-        bt = np.linalg.solve(V, B.astype(complex))
-        dead = np.abs(bt) < 1e-13 * max(np.max(np.abs(bt)), 1e-300)
-        if np.any(dead):
-            raise SingularControllabilityError(
-                "uncontrollable eigenvalue(s) "
-                + ", ".join(f"{v:.6g}" for v in lam[dead]))
-        mu = np.empty_like(rows)
-        mu[:, np.lexsort((lam.real, lam.imag))] = np.take_along_axis(
-            rows, np.lexsort((rows.real, rows.imag)), axis=1)
-        np.fill_diagonal(den, bt)
-        f = np.prod((lam[:, None] - mu[:, None, :]) / den, axis=2)
-        K = np.real(f @ np.linalg.inv(V))
-    if not np.isfinite(K).all():
-        raise SingularControllabilityError(
-            f"pole placement overflowed to a non-finite gain at N = {n // 2}"
-        )
-    return K if targets.ndim == 2 else K[0]
+    s4, d = _oscillators(A)
+    N = len(s4)
+    targets = _check_conjugate_symmetric(targets, 2 * N)
+    rows = targets.reshape(-1, 2 * N)
+    x, y = oscillator_roots(s4, d)
+    lam = np.concatenate([x, y])
+    mu = np.empty_like(rows)
+    mu[:, np.lexsort((lam.real, lam.imag))] = np.take_along_axis(
+        rows, np.lexsort((rows.real, rows.imag)), axis=1)
+    own = np.tile(np.eye(N, dtype=bool), (2, 2))    # root i's mode: i, i +- N
+    den = np.where(own, 1.0, lam[:, None] - lam)    # root i against lambda_j
+    r = (lam[:, None] - mu[:, None]) / den
+    head = np.cumprod(r[:, :N], axis=2)                     # at x
+    tail = np.cumprod(r[:, N:, ::-1], axis=2)[..., ::-1]    # at y
+    beta = (head[..., -1] - tail[..., 0]) / (x - y)
+    near = np.abs(x - y) <= ROOT_GAP * np.abs(y)
+    if near.any():
+        dd = np.where(own[:N], 1.0, (mu[:, None] - lam) / (den[:N] * den[N:]))
+        dd[..., 1:] *= head[..., :-1]
+        dd[..., :-1] *= tail[..., 1:]
+        beta = np.where(near, dd.sum(axis=2), beta)
+    lines = np.concatenate([head[..., -1] - beta * x, beta], axis=-1).real
+    b1, b2 = np.asarray(B, dtype=float).reshape(2, -1)
+    return _solve_modes(d * b1 + b2, -s4 * b1, b1, b2, lines,
+                        "uncontrollable").reshape(targets.shape)
 
 
+@np.errstate(all="ignore")          # a non-finite gain is refused
 def place_observer_poles(A, C, targets):
-    """Observer gain L with eig(A - L C) = targets, by duality; a (G, n)
-    batch of target sets gives (G, n) gains."""
-    return place_poles(np.asarray(A, dtype=float).T, np.asarray(C, dtype=float),
-                       targets)
+    """Observer gain L with eig(A - L C) = targets, for one or G sets: the
+    lines N_n are ``place_poles``' K for the unit velocity input, and mode
+    n's l1 (p (s + d_n) - q sigma_n^4) + l2 (p + q s) = N_n(s), C_n = (p, q).
+    """
+    s4, d = _oscillators(A)
+    p, q = np.asarray(C, dtype=float).reshape(2, -1)
+    lines = place_poles(A, np.repeat([0.0, 1.0], len(d)), targets)
+    return _solve_modes(p * d - q * s4, p, p, q, lines, "unobservable")
 
 
 def hurwitz_spectrum(M, name="matrix"):
@@ -262,8 +267,7 @@ def hurwitz_spectrum(M, name="matrix"):
     worst = float(np.max(eigs.real))
     if worst >= 0.0:
         raise UnstableMatrixError(
-            f"{name} has eigenvalue with Re = {worst:.6g} >= 0"
-        )
+            f"{name} has eigenvalue with Re = {worst:.6g} >= 0")
     return eigs
 
 
@@ -283,20 +287,17 @@ def radial_pole_targets(A, lam):
     """Default closed-loop target pattern for a modal plant.
 
     Keeps each mode's drive frequency om_n (``oscillator_frequencies`` of
-    sigma_n^4 = -A[N+n, n] and d_n = -A[N+n, N+n]; sigma_n^2 when
-    overdamped, so no target is a double pole) and spreads the real parts
-    over [-lam, -2*lam*(1 - 1/(2N))]: mode n (ordered by frequency) goes to
-    -lam * (1 + (n-1)/N) +/- i om_n.  min |Re| = lam by design.  A scalar
-    rate gives (2N,) targets, a 1-D array of G rates (G, 2N).
+    A's sigma_n^4 and d_n; sigma_n^2 when overdamped, so no target is a
+    double pole) and spreads the real parts over [-lam, -2*lam*(1 -
+    1/(2N))]: mode n (ordered by frequency) goes to -lam * (1 + (n-1)/N)
+    +/- i om_n.  min |Re| = lam by design.  A scalar rate gives (2N,)
+    targets, a 1-D array of G rates (G, 2N).
     """
-    A = np.asarray(A, dtype=float)
-    N, odd = divmod(len(A), 2)
-    if odd:
-        raise ValueError("expected an even-dimensional two-block modal plant")
-    k = np.arange(N)
-    ims = np.sort(oscillator_frequencies(-A[N + k, k], -A[N + k, N + k]))
+    s4, d = _oscillators(A)
+    N = len(s4)
+    ims = np.sort(oscillator_frequencies(s4, d))
     lam = np.asarray(lam, dtype=float)
-    re = -lam[..., None] * (1.0 + k / N)
+    re = -lam[..., None] * (1.0 + np.arange(N) / N)
     return np.stack([re + 1j * ims, re - 1j * ims], axis=-1).reshape(
         *lam.shape, 2 * N)
 
@@ -342,8 +343,7 @@ class GainSet:
                 if not miss <= PLACE_TOL:
                     raise NoFeasibleGainError(
                         f"{name} misses its target poles by {miss:.3g} "
-                        f"relative to max |target| (tolerance {PLACE_TOL:g})"
-                    )
+                        f"relative to max |target| (tolerance {PLACE_TOL:g})")
             rates.append(float(np.min(np.abs(eigs.real))))
         return cls(
             K=K, L=L, lambda_K=rates[0], lambda_L=rates[1],
@@ -367,8 +367,8 @@ def tune_gains(system, F_bound, eps_bound, lambda_grid, lambda_L=None):
 
     Raises NoFeasibleGainError for an empty grid, a decay rate <= 0, when
     no grid value lies below lambda_L, or when a chosen gain's spectrum
-    misses its targets (``GainSet.from_matrices``); an uncontrollable mode
-    is named by ``check_placement``.
+    misses its targets (``GainSet.from_matrices``).  A mode that a
+    placement refuses is explained by ``check_placement``'s reason.
     """
     grid = [float(g) for g in lambda_grid]
     if not grid and lambda_L is None:
@@ -407,8 +407,7 @@ def tune_gains(system, F_bound, eps_bound, lambda_grid, lambda_L=None):
     k_grid = [g for g in grid if g < lam_L_used]
     if not k_grid:
         raise NoFeasibleGainError(
-            f"no grid value below lambda_L = {lam_L_used} for the controller"
-        )
+            f"no grid value below lambda_L = {lam_L_used} for the controller")
     B_norm = float(np.linalg.norm(system.B))
     lam_K, K, K_targets = first_min(k_grid, place_poles, system.B,
                                     lambda norm: B_norm * norm * e_steady)

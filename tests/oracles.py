@@ -6,8 +6,9 @@ operator's eigenvalue pair per mode (for ``modal.mode_roots``, the
 assembled spectrum and acceptance criterion 1), the static modal gain
 (for the steady response to a constant force), and the modal energy and
 its dissipation rate (for the energy checks on simulated plant states),
-and the held noise hashed sample by sample (for ``signals.noise_samples``,
-which hashes each hold interval once).
+the held noise hashed sample by sample (for ``signals.noise_samples``,
+which hashes each hold interval once), and the backward residual of a
+placed gain (for ``synthesis.place_poles`` and ``place_observer_poles``).
 """
 
 import math
@@ -92,3 +93,25 @@ def held_noise_per_sample(spec, times):
     h = _splitmix64(seed ^ _splitmix64(idx.view(np.uint64)))
     u = (h >> np.uint64(11)).astype(float) * (1.0 / (1 << 53))
     return ((2.0 * u - 1.0) * spec.bound).reshape(np.shape(times))
+
+
+def placement_residual(A, left, right, targets):
+    """Largest normalized backward residual of a single-input placement.
+
+    For each target mu, x = (mu I - A)^-1 right and the residual is
+    |1 + left x| / (1 + sum_i |left_i x_i|): det(mu I - A + right left) =
+    det(mu I - A) (1 + left x) vanishes at every target of an exact gain.
+    ``left, right`` are (K, B) for A - B K and (C, L) for A - L C.  A =
+    [[0, I], [-diag sigma^4, -diag d]] is inverted mode by mode,
+    (mu I - A_n)^-1 [r1; r2] = [(mu + d) r1 + r2; mu r2 - sigma^4 r1] /
+    (mu^2 + d mu + sigma^4), so no eigendecomposition is made.
+    """
+    N = len(A) // 2
+    s4, d = -np.diag(A[N:, :N]), -np.diag(A[N:, N:])
+    mu = np.asarray(targets, dtype=complex).reshape(-1, 1)
+    r1, r2 = right[:N], right[N:]
+    p = mu * mu + d * mu + s4
+    t = left * np.concatenate([((mu + d) * r1 + r2) / p,
+                               (mu * r2 - s4 * r1) / p], axis=1)
+    return float(np.max(np.abs(1.0 + t.sum(axis=1))
+                        / (1.0 + np.abs(t).sum(axis=1))))

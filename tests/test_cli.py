@@ -356,15 +356,20 @@ def test_pole_placement_reaches_N_60(tmp_path, capsys, N):
     ("sweep", {"preset": "fig7",
                "sweep": {"parameter": "patch", "values": [[0.2, 0.3]]}},
      "; mode 4: patch gain cos(4 pi x2) - cos(4 pi x1) = 0\n"),
+    # a sensor at mode 2's node: the observer side refuses
+    ("tune", {"preset": "fig1", "placement": {"x0": 0.5}},
+     "; mode 2: sensor at node, sin(2 pi x0) = 0\n"),
 ])
 def test_uncontrollable_placement_names_the_mode(tmp_path, capsys, command,
                                                  data, reason):
-    # the refusal printed "[np.complex128(-0.789...+157.9...j), ...]"
+    # the refusal printed "[np.complex128(-0.789...+157.9...j), ...]", and
+    # an unobservable mode as "uncontrollable eigenvalue(s)"
     path = write_config(tmp_path, data)
     assert main([command, "--config", path, "--out", str(tmp_path)]) == 3
     out, err = capsys.readouterr()
-    assert err.startswith("infeasible design: uncontrollable eigenvalue(s) ")
-    assert err.endswith(reason)
+    mode = reason.split()[2].rstrip(":")
+    side = "unobservable" if "sensor" in reason else "uncontrollable"
+    assert err == f"infeasible design: {side} mode(s) {mode}{reason}"
     assert "np." not in out + err
 
 
@@ -381,22 +386,33 @@ def test_tune_refuses_gains_that_miss_their_targets(tmp_path, capsys):
     assert not (tmp_path / "fig1_gains.csv").exists()
 
 
-@pytest.mark.parametrize("a1", [2, 3, 10, 100, 1000])
-def test_tune_places_overdamped_fig1(tmp_path, capsys, a1):
+@pytest.mark.parametrize("data", [
+    *(pytest.param({"preset": "fig1", "beam": {"a1": a1}}, id=str(a1))
+      for a1 in (2, 3, 10, 100, 1000)),
+    # critically damped: each mode's two roots coincide
+    pytest.param({"preset": "fig7", "beam": {"a1": 2}}, id="fig7-a1-2"),
+    pytest.param({"preset": "fig1", "N": 5, "beam": {"a1": 2}},
+                 id="fig1-N5-a1-2"),
+])
+def test_tune_places_overdamped_fig1(tmp_path, capsys, data):
     # targets copied from eigvals(A) made each overdamped mode a double
-    # pole, which no placement meets to 1e-6: all but a1 = 3 exited 3
-    path = write_config(tmp_path, {"preset": "fig1", "beam": {"a1": a1}})
+    # pole, which no placement meets to 1e-6: all but a1 = 3 exited 3; the
+    # critically damped beams missed by 1.87e-6 through a defective eig(A)
+    path = write_config(tmp_path, data)
     assert main(["tune", "--config", path, "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
-    assert (tmp_path / "fig1_gains.csv").exists()
+    assert (tmp_path / f"{data['preset']}_gains.csv").exists()
 
 
 def test_unstable_tuned_loop_names_its_matrix(tmp_path, capsys):
-    # check passes this Kelvin-Voigt beam; tune's refusal named no matrix
+    # check passes this Kelvin-Voigt beam; tune's refusal named no matrix.
+    # The slow roots of modes 1 and 2 agree to about 1e-8, so one input
+    # cannot place them: every rate's gain is garbage, and the closed loop
+    # at the rate the bound picks is refused.
     path = write_config(tmp_path, {"preset": "fig1", "damping": "kelvin_voigt",
                                    "beam": {"a1": 1000}})
     assert main(["tune", "--config", path, "--out", str(tmp_path)]) == 3
-    assert re.match(r"infeasible design: A - BK at lambda = 30 has eigenvalue "
+    assert re.match(r"infeasible design: A - BK at lambda = 10 has eigenvalue "
                     r"with Re = \S+ >= 0", capsys.readouterr().err)
 
 

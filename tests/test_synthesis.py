@@ -14,7 +14,7 @@ from piezobeam.errors import (
     UnstableMatrixError,
 )
 from piezobeam import synthesis
-from piezobeam.config import resolve_config
+from piezobeam.config import KEYS, resolve_config
 from piezobeam.modal import (
     DampingModel,
     Placement,
@@ -35,6 +35,8 @@ from piezobeam.synthesis import (
     radial_pole_targets,
     tune_gains,
 )
+
+from oracles import placement_residual
 
 PARAMS = BeamParams.dimensionless(a1=0.01)
 PATCH = Placement(x1=0.0, x2=0.1, x0=0.095)
@@ -209,7 +211,8 @@ def test_placement_rejects_asymmetric_targets():
 
 def test_placement_rejects_uncontrollable_pair():
     system = assemble(PARAMS, 2, Placement(0.0, 1.0, 0.3))  # mode 2 dead
-    with pytest.raises(SingularControllabilityError):
+    with pytest.raises(SingularControllabilityError,
+                       match=r"^uncontrollable mode\(s\) 2$"):
         place_poles(system.A, system.B,
                     [-1 + 1j, -1 - 1j, -2 + 2j, -2 - 2j])
 
@@ -278,42 +281,65 @@ def test_conjugate_check_matches_the_interpreted_reference(targets):
     assert _accepts(_check_conjugate_symmetric, batch) == accepted
 
 
-def test_defective_spectrum_falls_back_to_ackermann():
-    # double integrator: repeated eigenvalue 0, controllable
+def test_double_root_places():
+    # double integrator: the modal plant sigma^4 = d = 0, one double root 0
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([0.0, 1.0])
     K = place_poles(A, B, [-1 + 1j, -1 - 1j])
     got = sorted_eigs(A - np.outer(B, K))
     np.testing.assert_allclose(got, [-1 - 1j, -1 + 1j], rtol=1e-10)
+    # a critically damped beam (a1 = 2): every mode has a double root
+    system = assemble(BeamParams.dimensionless(a1=2.0), 5, PATCH)
+    targets = radial_pole_targets(system.A, 6.0)
+    K = place_poles(system.A, system.B, targets)
+    L = place_observer_poles(system.A, system.C, targets)
+    assert placement_residual(system.A, K, system.B, targets) < 1e-14
+    assert placement_residual(system.A, system.C, L, targets) < 1e-14
+
+
+def test_placement_refuses_a_non_modal_plant():
+    system = assemble(PARAMS, 2, PATCH)
+    coupled = system.A.copy()
+    coupled[2, 1] = 1.0                 # w_1'' feels w_2
+    targets = radial_pole_targets(system.A, 6.0)
+    for A in (system.A.T, coupled, system.A[:3, :3], system.A[0]):
+        with pytest.raises(ValueError, match="expected a modal plant"):
+            place_poles(A, system.B, targets)
+        with pytest.raises(ValueError, match="expected a modal plant"):
+            place_observer_poles(A, system.C, targets)
 
 
 GRID = np.array([6.0, 10.0, 14.0, 18.0, 24.0, 30.0])
 
 
 def _batch_cases():
-    """(A, input vector, (G, n) targets) of one plant each."""
+    """(placement, A, input or output vector, (G, n) targets) of one plant
+    each."""
     system = assemble(PARAMS, 4, PATCH)
     targets = radial_pole_targets(system.A, GRID)
-    double = np.array([[0.0, 1.0], [0.0, 0.0]])     # defective: Ackermann
+    double = np.array([[0.0, 1.0], [0.0, 0.0]])
     return [
-        pytest.param(system.A, system.B, targets, id="controller"),
-        pytest.param(system.A.T, system.C, targets, id="observer"),
-        pytest.param(double, np.array([0.0, 1.0]),
+        pytest.param(place_poles, system.A, system.B, targets,
+                     id="controller"),
+        pytest.param(place_observer_poles, system.A, system.C, targets,
+                     id="observer"),
+        pytest.param(place_poles, double, np.array([0.0, 1.0]),
                      np.array([[-1 + 1j, -1 - 1j], [-2.0, -3.0],
-                               [-4 + 0.5j, -4 - 0.5j]]), id="ackermann"),
+                               [-4 + 0.5j, -4 - 0.5j]]), id="double-root"),
     ]
 
 
-@pytest.mark.parametrize("A, vec, targets", _batch_cases())
-def test_batch_placement_equals_row_by_row(A, vec, targets):
-    batch = place_poles(A, vec, targets)
+@pytest.mark.parametrize("place, A, vec, targets", _batch_cases())
+def test_batch_placement_equals_row_by_row(place, A, vec, targets):
+    batch = place(A, vec, targets)
     assert batch.shape == targets.shape
     for gain, row in zip(batch, targets):
-        one = place_poles(A, vec, row)
+        one = place(A, vec, row)
         np.testing.assert_allclose(gain, one, rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(one)))
-        assert rel_spectrum_error(
-            np.linalg.eigvals(A - np.outer(vec, gain)), row) < 1e-8
+        loop = (A - np.outer(gain, vec) if place is place_observer_poles
+                else A - np.outer(vec, gain))
+        assert rel_spectrum_error(np.linalg.eigvals(loop), row) < 1e-8
 
 
 def test_batch_with_one_bad_row_is_refused():
@@ -333,18 +359,26 @@ def test_radial_targets_of_a_rate_array_stack_the_scalar_calls():
 
 
 def test_observer_duality():
+    # S = [[d, 1], [1, 0]] per mode gives S A = A^T S, so eig(A - L C) =
+    # eig(A - B K) for B = S^-1 C^T and K = L^T S: the observer is the
+    # controller of that input, with L = S^-1 K^T
     system = assemble(PARAMS, 2, PATCH)
+    N, d = system.N, -np.diag(system.A[2:, 2:])
+    S_inv = np.block([[np.zeros((N, N)), np.eye(N)],
+                      [np.eye(N), -np.diag(d)]])
+    B = S_inv @ system.C
     targets = radial_pole_targets(system.A, 10.0)
     L = place_observer_poles(system.A, system.C, targets)
-    K_dual = place_poles(system.A.T, system.C, targets)
-    np.testing.assert_array_equal(L, K_dual)
+    np.testing.assert_allclose(L, S_inv @ place_poles(system.A, B, targets),
+                               rtol=1e-12, atol=1e-12 * np.max(np.abs(L)))
     assert rel_spectrum_error(
         np.linalg.eigvals(system.A - np.outer(L, system.C)), targets) < 1e-8
     # a batch of target sets passes through as well
     batch = radial_pole_targets(system.A, GRID)
-    np.testing.assert_array_equal(
+    np.testing.assert_allclose(
         place_observer_poles(system.A, system.C, batch),
-        place_poles(system.A.T, system.C, batch))
+        place_poles(system.A, B, batch) @ S_inv, rtol=1e-12,
+        atol=1e-12 * np.max(np.abs(L)))
 
 
 def test_observer_rate_34():
@@ -357,9 +391,37 @@ def test_observer_rate_34():
 
 def test_observer_rejects_unobservable_pair():
     system = assemble(PARAMS, 2, Placement(0.0, 0.1, 0.5))  # node of mode 2
-    with pytest.raises(SingularControllabilityError):
+    with pytest.raises(SingularControllabilityError,
+                       match=r"^unobservable mode\(s\) 2$"):
         place_observer_poles(system.A, system.C,
                              radial_pole_targets(system.A, 5.0))
+
+
+@st.composite
+def placed_beams(draw):
+    """Structural beams of 1..20 modes, a1 in [0, 1000] or exactly 2
+    (critically damped), whose placement passes ``check_placement``."""
+    a1 = draw(st.one_of(st.just(2.0), st.floats(0.0, 1e3)))
+    x1 = draw(st.floats(0.0, 0.6))
+    placement = Placement(x1=x1, x2=x1 + draw(st.floats(0.01, 0.4)),
+                          x0=draw(st.floats(0.01, 0.99)),
+                          s1=draw(st.sampled_from([0.0, 1.0, -2.0])))
+    system = assemble(BeamParams.dimensionless(a1=a1),
+                      draw(st.integers(1, 20)), placement)
+    assume(check_placement(system).ok)
+    return system
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(placed_beams())
+def test_placed_gains_have_a_tiny_backward_residual(system):
+    # every rate of the default grid, both sides
+    targets = radial_pole_targets(system.A, KEYS["gains.lambda_grid"][1])
+    K = place_poles(system.A, system.B, targets)
+    L = place_observer_poles(system.A, system.C, targets)
+    for k, l, row in zip(K, L, targets):
+        assert placement_residual(system.A, k, system.B, row) <= 1e-12
+        assert placement_residual(system.A, system.C, l, row) <= 1e-12
 
 
 def test_radial_target_pattern():
