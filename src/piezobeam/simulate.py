@@ -28,12 +28,20 @@ of such a system collapses to
 with matrices R, P* that are polynomials in dt*M, precomputed once.  This
 is algebraically classical RK4.  Over a horizon it is a linear recurrence
 with a constant matrix, so ``RK4.run`` evaluates it as a blocked scan: the
-forcing of every step in a few GEMMs, then blocks of b steps advanced side
-by side, with the block starts carried by R^b.  The coupled simulation
-takes its forcing on the half-step grid from ``signals.cosine_sum_grid``
-(angle addition: O(sqrt(count)) cos/sin calls per harmonic), one table per
-distinct harmonic set.  The single-mode residual runs use the same R1 and
-P*G, but solve the recurrence in closed form on the states they keep.
+forcing of every step in a few GEMMs, then blocks of b ~ sqrt(n/2) steps
+advanced side by side from block starts carried by R^b.  The carry needs
+each block's end state from rest, a sum over the block's 2b + 1 channel
+rows with weights P*G times powers of R: one GEMM over the channel table c
+(a free reshape when c is C-contiguous) and one for the rows that two
+blocks share.  With g channels and d stepped states it costs
+n 2g d + b 3g d^2 flops; where that exceeds the n d^2 of b - 1 GEMMs over
+the forcing rows, or its (3b + 1) g d weights would outgrow the forcing
+pass's CHUNK_ROWS x 3g table (b d > CHUNK_ROWS), those GEMMs run instead.
+The coupled simulation takes its forcing on the half-step grid from
+``signals.cosine_sum_grid`` (angle addition: O(sqrt(count)) cos/sin calls
+per harmonic), one table per distinct harmonic set.  The single-mode
+residual runs use the same R1 and P*G, but solve the recurrence in closed
+form on the states they keep.
 
 Once every state of the history is found finite, V, y and the norms of
 e, z and z_res are filled in CHUNK_ROWS-row blocks, each by the
@@ -199,17 +207,23 @@ class RK4:
         """Fill X[1:] in place with the states after each step from X[0].
 
         ``c`` holds the channel values on the half-step grid: step i uses
-        rows 2i, 2i+1 and 2i+2.  X must be C-contiguous.  The forcing u_i
-        of every step goes into X[1:] first, chunk by chunk.  The steps are
-        then taken in blocks of b ~ sqrt(n/2), all blocks side by side:
+        rows 2i, 2i+1 and 2i+2.  X must be C-contiguous, and so should c
+        be: the channel sum reads it through a reshape, else a copy.
+        The forcing u_i of every step goes into X[1:] first, chunk by
+        chunk.  The steps are then taken in blocks of b ~ sqrt(n/2), all
+        blocks side by side:
 
-        - b - 1 GEMMs give each block's forced response from rest at its end;
+        - each block's forced response from rest at its end: one sum over
+          the channel rows, ``_block_ends``, where ``_channel_sum_pays``
+          (n 2g d + b 3g d^2 flops against n d^2, and b d <= CHUNK_ROWS),
+          else b - 1 GEMMs over the forcing rows, x+ = R1 x + u;
         - n // b mat-vecs with R1^b carry the block starts;
         - b GEMMs run every block forward from its start, x+ = R1 x + u;
 
         and the steps past the last whole block run one by one.  That is
-        about 2b + n/b interpreted iterations instead of n.  Overflow is
-        left in X as non-finite rows for the caller to find.
+        about log2(b) + n/b + b interpreted iterations with the sum, and
+        2b + n/b without.  Overflow is left in X as non-finite rows for
+        the caller to find.
         """
         n, d = X.shape[0] - 1, X.shape[1]
         if n == 0:
@@ -225,9 +239,12 @@ class RK4:
         R1T = self.R1.T
         U = X[1 : 1 + m * b].reshape(m, b, d)   # a view: rows are written
         with np.errstate(over="ignore", invalid="ignore"):
-            end = U[:, 0].copy()
-            for j in range(1, b):
-                end = end @ R1T + U[:, j]
+            if _channel_sum_pays(n, b, c.shape[1], d):
+                end = self._block_ends(c, b, m)
+            else:
+                end = U[:, 0].copy()
+                for j in range(1, b):
+                    end = end @ R1T + U[:, j]
             RbT = np.linalg.matrix_power(self.R1, b).T
             starts = np.empty((m, d))
             s = X[0]
@@ -241,6 +258,54 @@ class RK4:
             for i in range(m * b, n):
                 X[i + 1] += X[i] @ R1T
         return X
+
+    def _block_ends(self, c, b, m):
+        """State at the end of each of m blocks of b steps, from rest.
+
+        With S = R1^T, end_k = sum_h c[2kb + h] W[h], h = 0..2b, where
+        W[2j+1] = P23G^T S^(b-1-j), W[2j] = P1G^T S^(b-1-j) + P4G^T S^(b-j)
+        (row 2j is stage 1 of step j and stage 4 of step j - 1), W[0] has
+        no second term and W[2b] = P4G^T.  Rows 0..2b-1 of all blocks are
+        one GEMM, (m x 2bg) @ (2bg x d); row 2kb + 2b, which block k
+        shares with block k + 1, is one more.  The powers come from
+        log2(b) doublings of the stage block, all in one buffer of
+        (3b + 1) g d values; c should be C-contiguous, or the GEMM's
+        reshape copies it.
+        """
+        d, g = self.R1.shape[0], c.shape[1]
+        buf = np.empty((3 * b + 1, g, d))
+        W, P4 = buf[: 2 * b + 1], buf[2 * b + 1 :]
+        # entry j of the two stacks: [P1G^T; P23G^T] S^(b-1-j) in
+        # W[2j : 2j + 2], P4G^T S^(b-1-j) in P4[j]; power 0 goes in last
+        stacks = (W[: 2 * b].reshape(b, 2 * g, d), P4)
+        W[2 * b - 2], W[2 * b - 1] = self.P1G.T, self.P23G.T
+        P4[-1] = self.P4G.T
+        S, k = self.R1.T, 1       # S = (R1^T)^k; powers 0..k-1 are in place
+        while k < b:
+            r = min(k, b - k)     # powers k..k+r-1 from powers 0..r-1
+            for T in stacks:
+                rows = r * T.shape[1]
+                np.matmul(T[b - r :].reshape(rows, d), S,
+                          out=T[b - k - r : b - k].reshape(rows, d))
+            k += r
+            if k < b:
+                S = S @ S
+        W[2 * b] = P4[-1]
+        W[2 : 2 * b : 2] += P4[:-1]
+        end = (c[: 2 * m * b].reshape(m, 2 * b * g)
+               @ W[: 2 * b].reshape(2 * b * g, d))
+        end += c[2 * b : 2 * m * b + 1 : 2 * b] @ W[2 * b]
+        return end
+
+
+def _channel_sum_pays(n, b, g, d):
+    """Whether ``RK4.run`` over n steps in blocks of b, with g channels and
+    d states, finds its block ends by ``RK4._block_ends``: where that takes
+    fewer flops than the b - 1 GEMMs over the forcing rows, and its
+    (3b + 1) g d weights stay about within the forcing pass's
+    CHUNK_ROWS x 3g table (b d <= CHUNK_ROWS)."""
+    return (n * 2 * g * d + b * 3 * g * d * d < n * d * d
+            and b * d <= CHUNK_ROWS)
 
 
 class CoupledDynamics:

@@ -164,7 +164,9 @@ def test_simulate_matches_sequential_steps(n):
     # of 2 plus a 1-step tail, 50 is 10 whole blocks of 5, 2000 is 62
     # blocks of 32 plus a 16-step tail.  The scan reorders sums, so the
     # match is to rounding, not bitwise.  The hold is incommensurate with
-    # dt so that no stage time falls on a hold boundary.
+    # dt so that no stage time falls on a hold boundary.  At g = 5
+    # channels and d = 12 states every n here finds its block ends by the
+    # GEMMs over the forcing rows, not by the channel sum.
     system = assemble(PARAMS, 2, PATCH)
     gains = fig_gains(system)
     dist = polyharmonic_disturbance(PARAMS, driven_modes=4)
@@ -260,6 +262,103 @@ def test_reached_states_match_the_full_state_run(data, reached):
         res.y, expect[:, :2 * dyn.N] @ system.C + res_expect @ dyn.block.C
         + noise_samples(res.noise, res.t),
         rtol=0, atol=1e-11 * np.max(np.abs(expect)))
+
+
+def propagator_loop(rk4, x0, c, n):
+    """Reference: n steps of the one-step propagator from x0, looped."""
+    X = np.empty((n + 1, len(x0)))
+    X[0] = x0
+    for i in range(n):
+        X[i + 1] = (rk4.R1 @ X[i] + rk4.P1G @ c[2 * i]
+                    + rk4.P23G @ c[2 * i + 1] + rk4.P4G @ c[2 * i + 2])
+    return X
+
+
+# N 20, R 60 with every residual mode driven: g = 81 channels, d = 200
+G81 = {"N": 20, "placement": {"x2": 0.1037, "x0": 0.0951},
+       "disturbance": {"driven_modes": 80},
+       "sim": {"dt": None, "t_final": 0.05, "residual_modes": 60}}
+
+
+def scan_propagator(data):
+    """The RK4 of a config's coupled run (its live states only)."""
+    config, system, gains = built(data)
+    return CoupledDynamics(system, gains, config.disturbance, config.noise,
+                           config.sim).rk4
+
+
+def empty_propagator():
+    """An RK4 with no state and 4 channels."""
+    return RK4(np.zeros((0, 0)), np.zeros((0, 4)), 1e-3)
+
+
+def assert_scan_matches_loop(rk4, n, seed):
+    rng = np.random.default_rng(seed)
+    d, g = rk4.P4G.shape
+    c = rng.standard_normal((2 * n + 1, g))
+    X = np.empty((n + 1, d))
+    X[0] = rng.standard_normal(d)
+    expect = propagator_loop(rk4, X[0], c, n)
+    rk4.run(X, c)
+    np.testing.assert_allclose(X, expect, rtol=0,
+                               atol=1e-12 * np.max(np.abs(expect), initial=0))
+
+
+@pytest.mark.parametrize("data, n, shape, channel_sum", [
+    (FIG1, 2000, (12, 4), True),     # 62 blocks of 32 and a 16-step tail
+    (FIG1, 4608, (12, 4), True),     # 96 blocks of 48, no tail
+    (G81, 2000, (200, 81), False),   # n 2g d above n d^2: the GEMMs
+    (None, 2000, (0, 4), False),     # no state
+], ids=["fig1_tail", "fig1_whole", "g81", "empty"])
+def test_run_matches_the_one_step_loop(data, n, shape, channel_sum):
+    rk4 = empty_propagator() if data is None else scan_propagator(data)
+    d, g = rk4.P4G.shape
+    assert (d, g) == shape
+    sim_module = importlib.import_module("piezobeam.simulate")
+    assert sim_module._channel_sum_pays(n, block_size(n), g, d) is channel_sum
+    assert_scan_matches_loop(rk4, n, seed=n)
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["fig1", "empty"])
+@pytest.mark.parametrize("n, blocks, tail", [
+    (1, 1, 0), (2, 2, 0), (3, 3, 0), (5, 2, 1), (7, 3, 1), (21, 7, 0),
+    (22, 7, 1)])
+def test_channel_sum_on_few_blocks_matches_the_one_step_loop(
+        monkeypatch, n, blocks, tail, empty):
+    # the path rule refuses these short horizons; forced onto the channel
+    # sum, run must still match the loop
+    b = block_size(n)
+    assert (n // b, n % b) == (blocks, tail)
+    sim_module = importlib.import_module("piezobeam.simulate")
+    monkeypatch.setattr(sim_module, "_channel_sum_pays", lambda *shape: True)
+    rk4 = empty_propagator() if empty else scan_propagator(FIG1)
+    assert_scan_matches_loop(rk4, n, seed=n)
+
+
+@pytest.mark.parametrize("shared_rows_only", [False, True])
+@pytest.mark.parametrize("tail", [0, 5])
+@pytest.mark.parametrize("b", [1, 6, 13])
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+def test_block_ends_are_the_forced_response_from_rest(m, b, tail,
+                                                      shared_rows_only):
+    # end_k from the channel sum against b looped steps from rest over
+    # block k's rows 2kb..2kb + 2b, which the sum must not read past; with
+    # shared_rows_only the channels are 0 but on the rows 2kb that blocks
+    # k - 1 and k share (so with one block every end is exactly 0)
+    rk4 = scan_propagator(FIG1)
+    d, g = rk4.P4G.shape
+    rng = np.random.default_rng(100 * m + b)
+    c = rng.standard_normal((2 * (m * b + tail) + 1, g))
+    if shared_rows_only:
+        shared = c[2 * b : 2 * m * b : 2 * b].copy()
+        c[:] = 0.0
+        c[2 * b : 2 * m * b : 2 * b] = shared
+    ends = rk4._block_ends(c, b, m)
+    expect = np.array([propagator_loop(rk4, np.zeros(d), c[2 * k * b :], b)[-1]
+                       for k in range(m)])
+    assert ends.shape == (m, d)
+    np.testing.assert_allclose(ends, expect, rtol=0,
+                               atol=1e-12 * np.max(np.abs(expect), initial=0))
 
 
 def test_residual0_adds_exactly_its_mode():
