@@ -34,10 +34,10 @@ each block's end state from rest, a sum over the block's 2b + 1 channel
 rows with weights P*G times powers of R: one GEMM over the channel table c
 (a free reshape when c is C-contiguous) and one for the rows that two
 blocks share.  With g channels and d stepped states it costs
-n 2g d + b 3g d^2 flops; where that exceeds the n d^2 of b - 1 GEMMs over
-the forcing rows, or its (3b + 1) g d weights would outgrow the forcing
-pass's CHUNK_ROWS x 3g table (b d > CHUNK_ROWS), those GEMMs run instead.
-The coupled simulation takes its forcing on the half-step grid from
+n 2g d + b 3g d^2 flops, so b is also held to at most 2n / 3d (or 1):
+building the (3b + 1) g d weights then costs no more than the sum, and
+they take at most about the room of the (2n + 1) g channel table.  The
+coupled simulation takes its forcing on the half-step grid from
 ``signals.cosine_sum_grid`` (angle addition: O(sqrt(count)) cos/sin calls
 per harmonic), one table per distinct harmonic set.  The single-mode
 residual runs use the same R1 and P*G, but solve the recurrence in closed
@@ -210,20 +210,19 @@ class RK4:
         rows 2i, 2i+1 and 2i+2.  X must be C-contiguous, and so should c
         be: the channel sum reads it through a reshape, else a copy.
         The forcing u_i of every step goes into X[1:] first, chunk by
-        chunk.  The steps are then taken in blocks of b ~ sqrt(n/2), all
-        blocks side by side:
+        chunk.  The steps are then taken in blocks of b ~ sqrt(n/2), but
+        b <= 2n / 3d, all blocks side by side:
 
-        - each block's forced response from rest at its end: one sum over
-          the channel rows, ``_block_ends``, where ``_channel_sum_pays``
-          (n 2g d + b 3g d^2 flops against n d^2, and b d <= CHUNK_ROWS),
-          else b - 1 GEMMs over the forcing rows, x+ = R1 x + u;
+        - one sum over the channel rows, ``_block_ends``, gives each
+          block's forced response from rest at its end: n 2g d flops, and
+          b 3g d^2 to build its (3b + 1) g d weights, which b <= 2n / 3d
+          holds within the sum's flops and about the size of c;
         - n // b mat-vecs with R1^b carry the block starts;
         - b GEMMs run every block forward from its start, x+ = R1 x + u;
 
         and the steps past the last whole block run one by one.  That is
-        about log2(b) + n/b + b interpreted iterations with the sum, and
-        2b + n/b without.  Overflow is left in X as non-finite rows for
-        the caller to find.
+        about log2(b) + n/b + b interpreted iterations instead of n.
+        Overflow is left in X as non-finite rows for the caller to find.
         """
         n, d = X.shape[0] - 1, X.shape[1]
         if n == 0:
@@ -233,18 +232,14 @@ class RK4:
             stages = np.hstack([c[2 * i0 + k : 2 * i1 + k : 2]
                                 for k in range(3)])
             np.matmul(stages, self.PG.T, out=X[1 + i0 : 1 + i1])
+        del stages          # freed before the channel sum's weights
 
-        b = max(1, round(math.sqrt(n / 2)))
+        b = max(1, min(round(math.sqrt(n / 2)), 2 * n // max(3 * d, 1)))
         m = n // b
         R1T = self.R1.T
         U = X[1 : 1 + m * b].reshape(m, b, d)   # a view: rows are written
         with np.errstate(over="ignore", invalid="ignore"):
-            if _channel_sum_pays(n, b, c.shape[1], d):
-                end = self._block_ends(c, b, m)
-            else:
-                end = U[:, 0].copy()
-                for j in range(1, b):
-                    end = end @ R1T + U[:, j]
+            end = self._block_ends(c, b, m)
             RbT = np.linalg.matrix_power(self.R1, b).T
             starts = np.empty((m, d))
             s = X[0]
@@ -296,16 +291,6 @@ class RK4:
                @ W[: 2 * b].reshape(2 * b * g, d))
         end += c[2 * b : 2 * m * b + 1 : 2 * b] @ W[2 * b]
         return end
-
-
-def _channel_sum_pays(n, b, g, d):
-    """Whether ``RK4.run`` over n steps in blocks of b, with g channels and
-    d states, finds its block ends by ``RK4._block_ends``: where that takes
-    fewer flops than the b - 1 GEMMs over the forcing rows, and its
-    (3b + 1) g d weights stay about within the forcing pass's
-    CHUNK_ROWS x 3g table (b d <= CHUNK_ROWS)."""
-    return (n * 2 * g * d + b * 3 * g * d * d < n * d * d
-            and b * d <= CHUNK_ROWS)
 
 
 class CoupledDynamics:

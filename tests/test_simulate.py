@@ -152,21 +152,20 @@ def test_step_matches_textbook_rk4():
                                rtol=1e-12, atol=1e-12)
 
 
-def block_size(n):
-    """The scan's block length for an n-step horizon, b ~ sqrt(n / 2)."""
-    return max(1, round(math.sqrt(n / 2)))
+def block_size(n, d):
+    """The scan's block length for n steps of d states: b ~ sqrt(n / 2),
+    but at most 2n / 3d."""
+    return max(1, min(round(math.sqrt(n / 2)), 2 * n // max(3 * d, 1)))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 9, 50, 2000])
 def test_simulate_matches_sequential_steps(n):
     # The blocked scan against pointwise_step, the textbook-checked
-    # single step, looped.  n = 1 and 3 are one-step blocks, 9 is 4 blocks
-    # of 2 plus a 1-step tail, 50 is 10 whole blocks of 5, 2000 is 62
-    # blocks of 32 plus a 16-step tail.  The scan reorders sums, so the
-    # match is to rounding, not bitwise.  The hold is incommensurate with
-    # dt so that no stage time falls on a hold boundary.  At g = 5
-    # channels and d = 12 states every n here finds its block ends by the
-    # GEMMs over the forcing rows, not by the channel sum.
+    # single step, looped.  With d = 12 states, n = 1, 3 and 9 are one-step
+    # blocks (b <= 2n / 3d), 50 is 25 blocks of 2, 2000 is 62 blocks of 32
+    # plus a 16-step tail.  The scan reorders sums, so the match is to
+    # rounding, not bitwise.  The hold is incommensurate with dt so that
+    # no stage time falls on a hold boundary.
     system = assemble(PARAMS, 2, PATCH)
     gains = fig_gains(system)
     dist = polyharmonic_disturbance(PARAMS, driven_modes=4)
@@ -292,6 +291,13 @@ def empty_propagator():
     return RK4(np.zeros((0, 0)), np.zeros((0, 4)), 1e-3)
 
 
+def scalar_propagator():
+    """An RK4 of one decaying state with 4 channels: 2n / 3d does not bound
+    its blocks on the short horizons below."""
+    G = np.random.default_rng(1).standard_normal((1, 4))
+    return RK4(np.array([[-3.0]]), G, 0.1)
+
+
 def assert_scan_matches_loop(rk4, n, seed):
     rng = np.random.default_rng(seed)
     d, g = rk4.P4G.shape
@@ -304,35 +310,50 @@ def assert_scan_matches_loop(rk4, n, seed):
                                atol=1e-12 * np.max(np.abs(expect), initial=0))
 
 
-@pytest.mark.parametrize("data, n, shape, channel_sum", [
-    (FIG1, 2000, (12, 4), True),     # 62 blocks of 32 and a 16-step tail
-    (FIG1, 4608, (12, 4), True),     # 96 blocks of 48, no tail
-    (G81, 2000, (200, 81), False),   # n 2g d above n d^2: the GEMMs
-    (None, 2000, (0, 4), False),     # no state
+@pytest.mark.parametrize("data, n, shape, b", [
+    (FIG1, 2000, (12, 4), 32),       # 62 blocks of 32 and a 16-step tail
+    (FIG1, 4608, (12, 4), 48),       # 96 blocks of 48, no tail
+    (G81, 2000, (200, 81), 6),       # 2n / 3d, not sqrt(n / 2) = 32
+    (None, 2000, (0, 4), 32),        # no state
 ], ids=["fig1_tail", "fig1_whole", "g81", "empty"])
-def test_run_matches_the_one_step_loop(data, n, shape, channel_sum):
+def test_run_matches_the_one_step_loop(data, n, shape, b):
     rk4 = empty_propagator() if data is None else scan_propagator(data)
-    d, g = rk4.P4G.shape
-    assert (d, g) == shape
-    sim_module = importlib.import_module("piezobeam.simulate")
-    assert sim_module._channel_sum_pays(n, block_size(n), g, d) is channel_sum
+    assert rk4.P4G.shape == shape
+    assert block_size(n, shape[0]) == b
     assert_scan_matches_loop(rk4, n, seed=n)
 
 
-@pytest.mark.parametrize("empty", [False, True], ids=["fig1", "empty"])
+@pytest.mark.parametrize("empty", [False, True], ids=["scalar", "empty"])
 @pytest.mark.parametrize("n, blocks, tail", [
     (1, 1, 0), (2, 2, 0), (3, 3, 0), (5, 2, 1), (7, 3, 1), (21, 7, 0),
     (22, 7, 1)])
-def test_channel_sum_on_few_blocks_matches_the_one_step_loop(
-        monkeypatch, n, blocks, tail, empty):
-    # the path rule refuses these short horizons; forced onto the channel
-    # sum, run must still match the loop
-    b = block_size(n)
+def test_run_on_few_blocks_matches_the_one_step_loop(n, blocks, tail, empty):
+    rk4 = empty_propagator() if empty else scalar_propagator()
+    b = block_size(n, rk4.P4G.shape[0])
     assert (n // b, n % b) == (blocks, tail)
-    sim_module = importlib.import_module("piezobeam.simulate")
-    monkeypatch.setattr(sim_module, "_channel_sum_pays", lambda *shape: True)
-    rk4 = empty_propagator() if empty else scan_propagator(FIG1)
     assert_scan_matches_loop(rk4, n, seed=n)
+
+
+@pytest.mark.parametrize("data", [FIG1, G81], ids=["fig1", "g81"])
+def test_run_allocates_at_most_twice_the_channel_table(data):
+    # the forcing pass's stage table, 1.5 times c below CHUNK_ROWS steps,
+    # is freed before the channel sum, whose weights stay within about c
+    # because b <= 2n / 3d (at g81, b = sqrt(n / 2) = 32 would make them
+    # 4.9 times c)
+    rk4 = scan_propagator(data)
+    d, g = rk4.P4G.shape
+    n = 2000
+    c = np.random.default_rng(0).standard_normal((2 * n + 1, g))
+    X = np.zeros((n + 1, d))
+    rk4.run(X, c)                                      # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rk4.run(X, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * c.nbytes, peak / c.nbytes
 
 
 @pytest.mark.parametrize("shared_rows_only", [False, True])
@@ -667,7 +688,8 @@ def test_divergence_step_matches_sequential_oracle():
                 first_bad = i + 1
                 break
     assert first_bad is not None
-    assert abs(err.value.step - first_bad) <= block_size(n_steps)
+    assert abs(err.value.step - first_bad) <= block_size(n_steps,
+                                                         dyn.live.size)
     assert err.value.time == err.value.step * dt
     # exactly the first non-finite row of the history: the finiteness scan
     # runs before any derived series could warn on the huge rows before it
