@@ -107,11 +107,11 @@ def residual_bounds(params, f0, N, K_max,
     """Residual bounds for modes N+1..K_max plus a simulated decay-fit.
 
     Requires a1 > 0 (else ConfigError), f0 >= 0 and K_max > N.  The decay
-    exponent comes from fitting log sup-amplitude against log k over the
-    RK4 grids of each residual mode driven at its own resonant frequency
-    with amplitude f0 (``simulate_residual_mode``: the RK4 recurrence
-    solved in closed form); the structural damping model makes that
-    exponent approach -2.  A single residual mode gives no exponent.
+    exponent fits log sup-amplitude against log k over the RK4 grids of
+    each residual mode driven at its resonant frequency with amplitude f0
+    (one ``simulate_residual_mode`` call solves all in closed form); the
+    structural damping model makes it approach -2.  One mode gives no
+    exponent; a sup that underflows to 0 is a ConfigError (disturbance.bound).
     """
     if not params.a1 > 0.0:
         raise ConfigError(f"beam.a1 must be > 0 for residual bounds "
@@ -129,11 +129,13 @@ def residual_bounds(params, f0, N, K_max,
     sims = exponent = None
     if f0 > 0.0:
         omegas = resonant_frequencies(params, modes, damping_model)
-        sims = np.array([
-            simulate_residual_mode(params, int(k), [(f0, float(om), 0.0)],
-                                   damping_model=damping_model)[0]
-            for k, om in zip(modes, omegas)
-        ])
+        drive = np.array([[(f0, om, 0.0)] for om in omegas])
+        sims = simulate_residual_mode(params, modes, drive,
+                                      damping_model=damping_model)[0]
+        if not sims.min() > 0.0:
+            raise ConfigError(
+                f"disturbance.bound = {f0:g} is too small: the simulated sup "
+                f"of residual mode {modes[np.argmin(sims > 0.0)]} is 0")
         if modes.size >= 2:
             exponent = float(np.polyfit(np.log(modes), np.log(sims), 1)[0])
 

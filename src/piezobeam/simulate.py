@@ -39,9 +39,9 @@ building the (3b + 1) g d weights then costs no more than the sum, and
 they take at most about the room of the (2n + 1) g channel table.  The
 coupled simulation takes its forcing on the half-step grid from
 ``signals.cosine_sum_grid`` (angle addition: O(sqrt(count)) cos/sin calls
-per harmonic), one table per distinct harmonic set.  The single-mode
-residual runs use the same R1 and P*G, but solve the recurrence in closed
-form on the states they keep.
+per harmonic), one table per distinct harmonic set.  The residual-mode
+runs stack R1 and P*G per mode and solve the recurrence in closed form on
+the states they keep, all modes in one batch.
 
 Once every state of the history is found finite, V, y and the norms of
 e, z and z_res are filled in CHUNK_ROWS-row blocks, each by the
@@ -187,11 +187,12 @@ class RK4:
 
     One step is x+ = R1 x + P1G c(t) + P23G c(t + dt/2) + P4G c(t + dt):
     R1 = sum (dt M)^k / k!, k = 0..4, and the per-stage forcing polynomials
-    applied to G (stages 2 and 3 share c(t + dt/2)).
+    applied to G (stages 2 and 3 share c(t + dt/2)).  A stack of M (B, d, d)
+    with dt shaped (B, 1, 1) gives stacked propagators, one per system.
     """
 
     def __init__(self, M, G, dt):
-        I = np.eye(M.shape[0])
+        I = np.eye(M.shape[-1])
         Mdt = dt * M
         self.R1 = I + Mdt @ (I + Mdt @ (I / 2 + Mdt @ (I / 6 + Mdt / 24)))
         # weights of g(t), g(t+dt/2), g(t+dt) in (dt/6)(k1 + 2 k2 + 2 k3 + k4)
@@ -201,7 +202,7 @@ class RK4:
         self.P23G = P23 @ G
         self.P4G = (dt / 6) * G
         # u_i = [c_2i, c_2i+1, c_2i+2] @ PG.T: the three stages in one GEMM
-        self.PG = np.hstack([self.P1G, self.P23G, self.P4G])
+        self.PG = np.concatenate([self.P1G, self.P23G, self.P4G], axis=-1)
 
     def run(self, X, c):
         """Fill X[1:] in place with the states after each step from X[0].
@@ -421,9 +422,9 @@ def row_norms(x):
     ``np.linalg.norm(x, axis=1)``.  NumPy adds the squares of a row
     narrower than 8 left to right; summing the columns of a transposed
     copy in that order gives the same bits without a reduction per row.
-    Wider rows (NumPy sums them pairwise) and empty ones go to NumPy."""
+    Wider rows and empty ones take NumPy's expression, less its conj copy."""
     if not 0 < x.shape[1] < 8:
-        return np.linalg.norm(x, axis=1)
+        return np.sqrt(np.add.reduce(np.square(x), axis=1))
     sq = np.square(x.T, order="C")
     for column in sq[1:]:
         sq[0] += column
@@ -518,7 +519,7 @@ def simulate(system, gains, disturbance, noise, config):
 def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
                            damping_model=DampingModel.STRUCTURAL,
                            settle_time=None):
-    """RK4 of a single uncontrolled mode; returns steady-state amplitude sups.
+    """RK4 of uncontrolled modes, one or a batch: steady-state amplitude sups.
 
     Integrates w'' + d_k w' + sigma_k^4 w = a2 * sum_j A_j cos(om_j t + ph_j)
     from rest and records sup |(w, w')| and sup |w| over the states after
@@ -530,59 +531,85 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
 
         x_i = sum Re(X z^i) - R1^i v,   X = (z I - R1)^-1 w,  v = sum Re(X).
 
-    The kept states are evaluated CHUNK_ROWS at a time, R1^i v by doubling
-    from a slice's first row: with no eigenbasis, a critically damped mode
-    (R1 defective) needs no special case.
+    An array of B modes with ``harmonics`` shaped (B, H, 3) gives two (B,)
+    arrays, each mode with its own defaults; the first over the limit is
+    refused.  Each mode's kept states go in CHUNK_ROWS-row slices; a pass
+    takes consecutive slices while count x longest <= CHUNK_ROWS.  R1^i v
+    comes by doubling from a slice's first row: with no eigenbasis, a
+    critically damped mode (R1 defective) needs no special case.
     """
-    M = oscillator_matrix(params, [k], damping_model)
-    d = -M[1, 1]
-    if d <= 0.0:
+    modes = np.atleast_1d(k)
+    hs = np.asarray(harmonics, dtype=float).reshape(len(modes), -1, 3)
+    ix = np.arange(len(modes))[:, None] + [0, len(modes)]   # (w, w') rows
+    M = oscillator_matrix(params, modes, damping_model)[ix[:, :, None],
+                                                        ix[:, None, :]]
+    if not np.all(M[:, 1, 1] < 0.0):
         raise ValueError("residual-mode study requires positive damping")
-    rate = -float(mode_roots(params, [k], damping_model)[0][0].real)
-    s2 = (k * math.pi) ** 2
-    om_max = max((abs(om) for _, om, _ in harmonics), default=s2)
-    om_max = max(om_max, s2)
-    if settle_time is None:
-        settle_time = 12.0 / rate
-    if t_final is None:
-        t_final = settle_time + 40.0 * (2.0 * math.pi / om_max)
-    if dt is None:
-        dt = min(DT_IMAG_FACTOR / om_max / 2.0, DT_REAL_FACTOR / max(d, rate))
-
-    rk4 = RK4(M, np.array([[0.0], [params.a2]]), dt)
-    R1 = rk4.R1
-    try:
-        n = _step_count(t_final, dt, 2)
-    except ConfigError:
-        raise ConfigError(
-            f"residual mode {k} would take {t_final / dt:.4g} RK4 steps of "
-            f"dt = {dt:.3e} to t = {t_final:.6g}, past its settle horizon "
-            f"{settle_time:.6g} ({settle_time * rate:.3g} decay times of "
-            f"1 / {rate:.4g}), over the limit of {MAX_HISTORY_VALUES} values "
-            f"of 2 states; beam.a1 = {params.a1:g} and damping: "
-            f"{damping_model.value} set the decay rate and dt") from None
-    a, om, ph = np.array(harmonics, dtype=float).reshape(-1, 3).T
-    q = np.exp(0.5j * dt * om)[:, None]
-    w = (a * np.exp(1j * ph))[:, None] * (q ** np.arange(3) @ rk4.PG.T)
-    X = np.linalg.solve((q * q)[:, :, None] * np.eye(2) - R1,
-                        w[:, :, None])[:, :, 0]
-    v = X.real.sum(axis=0)
-    # the first kept step i: i dt >= settle_time as a float product, which
-    # the rounded quotient overshoots by at most one
-    i = max(0, math.ceil(min(settle_time / dt, n)) - 1)
-    while i < n and i * dt < settle_time:
-        i += 1
-    sup_state = sup_disp = 0.0
-    for j0 in range(i + 1, n + 1, CHUNK_ROWS):    # state j follows step j - 1
-        j = np.arange(j0, min(j0 + CHUNK_ROWS, n + 1))
-        x = (np.exp(1j * np.outer(j * dt, om)) @ X).real
-        tr = np.empty_like(x)                     # tr[r] = R1^(j0 + r) v
-        tr[0] = np.linalg.matrix_power(R1, j0) @ v
-        Rm, m = R1, 1
-        while m < len(x):
-            tr[m : 2 * m] = tr[: min(m, len(x) - m)] @ Rm.T
+    rates = -mode_roots(params, modes, damping_model)[0].real
+    dts, slices = np.empty(len(modes)), []
+    for b, mode in enumerate(modes.tolist()):
+        d, rate = -M[b, 1, 1], float(rates[b])
+        s2 = (mode * math.pi) ** 2
+        om_max = max(s2, *np.abs(hs[b, :, 1]))
+        settle = 12.0 / rate if settle_time is None else settle_time
+        t_end = (settle + 40.0 * (2.0 * math.pi / om_max) if t_final is None
+                 else t_final)
+        dts[b] = step = (dt if dt is not None else min(
+            DT_IMAG_FACTOR / om_max / 2.0, DT_REAL_FACTOR / max(d, rate)))
+        try:
+            n = _step_count(t_end, step, 2)
+        except ConfigError:
+            raise ConfigError(
+                f"residual mode {mode} would take {t_end / step:.4g} RK4 "
+                f"steps of dt = {step:.3e} to t = {t_end:.6g}, past its "
+                f"settle horizon {settle:.6g} ({settle * rate:.3g} decay "
+                f"times of 1 / {rate:.4g}), over the limit of "
+                f"{MAX_HISTORY_VALUES} values of 2 states; beam.a1 = "
+                f"{params.a1:g} and damping: {damping_model.value} set the "
+                "decay rate and dt") from None
+        # the first kept step i: i dt >= settle as a float product, which the
+        # rounded quotient overshoots by at most one; state j follows step j-1
+        i = max(0, math.ceil(min(settle / step, n)) - 1)
+        while i < n and i * step < settle:
+            i += 1
+        slices += [(b, j0, min(CHUNK_ROWS, n + 1 - j0))
+                   for j0 in range(i + 1, n + 1, CHUNK_ROWS)]
+    rk4 = RK4(M, np.array([[0.0], [params.a2]]), dts[:, None, None])
+    a, om, ph = np.moveaxis(hs, -1, 0)
+    q = np.exp(0.5j * dts[:, None] * om)[..., None]
+    w = (a * np.exp(1j * ph))[..., None] * (
+        q ** np.arange(3) @ rk4.PG.swapaxes(-1, -2))
+    X = np.linalg.solve((q * q)[..., None] * np.eye(2) - rk4.R1[:, None],
+                        w[..., None])[..., 0]
+    v = X.real.sum(axis=1)
+    sb, j0, rows = np.array(slices, dtype=int).reshape(-1, 3).T
+    # R1^j0 of each slice by np.linalg.matrix_power's products, in its order
+    P, Z, e = np.eye(2) + np.zeros((len(sb), 2, 2)), rk4.R1[sb], j0
+    while e.any():
+        P = np.where((e % 2 == 1)[:, None, None], P @ Z, P)
+        Z, e = Z @ Z, e // 2
+    P[j0 == 3] = np.linalg.matrix_power(rk4.R1[sb[j0 == 3]], 3)  # (R1 R1) R1
+    Rv = (P @ v[sb, :, None])[..., 0]             # R1^j0 v
+    sups, p0 = np.zeros((2, len(modes))), 0
+    while p0 < len(slices):
+        p1, L = p0 + 1, rows[p0]        # the pass: slices p0..p1-1, L long
+        while (p1 < len(slices)
+               and (p1 + 1 - p0) * max(L, rows[p1]) <= CHUNK_ROWS):
+            p1, L = p1 + 1, max(L, rows[p1])
+        b = sb[p0:p1]
+        x = (np.exp(1j * (((j0[p0:p1, None] + np.arange(L)) * dts[b, None])
+                          [..., None] * om[b, None])) @ X[b]).real.copy()
+        tr = np.empty_like(x)                     # tr[:, r] = R1^(j0 + r) v
+        tr[:, 0] = Rv[p0:p1]
+        Rm, m = rk4.R1[b], 1
+        while m < L:
+            tr[:, m : 2 * m] = tr[:, : min(m, L - m)] @ Rm.swapaxes(-1, -2)
             Rm, m = Rm @ Rm, 2 * m
         x -= tr
-        sup_state = max(sup_state, float(np.max(np.hypot(*x.T))))
-        sup_disp = max(sup_disp, float(np.max(np.abs(x[:, 0]))))
-    return sup_state, sup_disp
+        if rows[p0:p1].min() < L:
+            x[np.arange(L) >= rows[p0:p1, None]] = 0.0    # the padding rows
+        np.fmax.at(sups[0], b, np.hypot(x[..., 0], x[..., 1]).max(axis=1))
+        np.fmax.at(sups[1], b, np.abs(x[..., 0]).max(axis=1))
+        del x, tr             # freed before the next pass allocates its own
+        p0 = p1
+    return tuple(sups[:, 0].tolist() if np.ndim(k) == 0 else sups)

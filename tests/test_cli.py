@@ -573,8 +573,8 @@ FIG7_RESIDUAL_SUPS = [
 
 def test_bounds_solves_residual_modes_without_stepping(tmp_path, capsys,
                                                        monkeypatch):
-    # one closed-form residual-mode call per mode, no RK4 scan, and the
-    # sups of the scan to rounding
+    # one closed-form residual-mode call for all 40 modes, no RK4 scan, and
+    # the sups of the scan to rounding
     calls = {"run": 0, "mode": 0}
     run, mode = RK4.run, analysis.simulate_residual_mode
 
@@ -591,10 +591,25 @@ def test_bounds_solves_residual_modes_without_stepping(tmp_path, capsys,
     path = write_config(tmp_path, {"preset": "fig7",
                                    "sim": {"residual_modes": 40}})
     assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == 0
-    assert calls == {"run": 0, "mode": 40}
+    assert calls == {"run": 0, "mode": 1}
     rows = (tmp_path / "fig7_residual.csv").read_text().splitlines()[1:]
     sups = [float(row.split(",")[2]) for row in rows]
     np.testing.assert_allclose(sups, FIG7_RESIDUAL_SUPS, rtol=1e-9, atol=0)
+
+
+def test_bounds_refuses_a_forcing_whose_residual_sups_underflow(tmp_path,
+                                                               capsys):
+    # every residual sup underflowed to 0, and the fit printed NumPy's
+    # divide-by-zero warning and "simulated decay exponent: nan" at exit 0
+    path = write_config(tmp_path, {"preset": "fig7",
+                                   "disturbance": {"bound": 1e-320},
+                                   "sim": {"residual_modes": 4}})
+    assert main(["bounds", "--config", path, "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == (f"config error: disturbance.bound = {1e-320:g} is too "
+                   "small: the simulated sup of residual mode 6 is 0\n")
+    assert "nan" not in out
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_bounds_decay_rate_columns_are_the_mode_roots(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gc
 import importlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -18,6 +19,7 @@ from piezobeam.modal import (
     DampingModel,
     Placement,
     assemble,
+    oscillator_matrix,
     resonant_frequencies,
 )
 from piezobeam.signals import (
@@ -985,6 +987,119 @@ def test_residual_mode_memory_does_not_grow_with_horizon():
     assert peak < 4e6, peak
 
 
+def sup_bits(sups):
+    return np.asarray(sups, dtype=float).tobytes()
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(model=st.sampled_from(DampingModel),
+       ratio=st.sampled_from([0.01, 0.3, 2.0]),
+       B=st.integers(1, 12),
+       modes=st.lists(st.integers(1, 12), min_size=12, max_size=12),
+       harmonics=st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(0.5, 1.5),
+                                    st.floats(-math.pi, math.pi)),
+                          min_size=1, max_size=36),
+       H=st.integers(1, 3),
+       horizon=st.one_of(st.none(), st.tuples(
+           st.sampled_from([1, 3, 1000, CHUNK_ROWS, CHUNK_ROWS + 1,
+                            2 * CHUNK_ROWS + 5, 3 * CHUNK_ROWS]),
+           st.floats(0.0, 1.0))))
+def test_residual_mode_batch_matches_single_calls(model, ratio, B, modes,
+                                                  harmonics, H, horizon):
+    """A batch of modes gives each mode's single-call sups bit for bit.
+
+    Default horizons give each mode its own window, so a pass holds
+    slices of several lengths, padded to the longest; an explicit horizon
+    shares dt, t_final and settle_time, with windows up to three slices.
+    ``ratio`` is the damping ratio d / sigma^2 at mode 4 (at every mode
+    under structural damping).
+    """
+    modes = np.array(modes[:B])
+    kv = model is DampingModel.KELVIN_VOIGT
+    params = BeamParams.dimensionless(
+        a1=ratio / (4 * math.pi) ** 2 if kv else ratio)
+    om = resonant_frequencies(params, modes, model)
+    hs = np.resize(np.array(harmonics), (len(modes), H, 3))   # cycled
+    hs[..., 1] *= om[:, None]
+    run = {"damping_model": model}
+    if horizon is not None:
+        steps, settle = horizon
+        s2 = (modes.max() * math.pi) ** 2
+        dt = 0.05 / (s2 * max(1.0, ratio * (modes.max() / 4) ** 2))
+        run.update(t_final=steps * dt, dt=dt, settle_time=settle * steps * dt)
+    got = simulate_residual_mode(params, modes, hs, **run)
+    want = [simulate_residual_mode(params, int(k), [tuple(h) for h in hk],
+                                   **run) for k, hk in zip(modes, hs)]
+    assert got[0].shape == got[1].shape == (len(modes),)
+    assert sup_bits(np.transpose(got)) == sup_bits(want)
+
+
+def matrix_power_state(params, k, harmonic, dt, j):
+    """x_j of the closed form for one mode and harmonic, R1^j by
+    np.linalg.matrix_power: the per-mode evaluation's bits."""
+    rk4 = RK4(oscillator_matrix(params, [k]), np.array([[0.0], [params.a2]]),
+              dt)
+    a, om, ph = (np.array([h]) for h in harmonic)
+    q = np.exp(0.5j * dt * om)[:, None]
+    w = (a * np.exp(1j * ph))[:, None] * (q ** np.arange(3) @ rk4.PG.T)
+    X = np.linalg.solve((q * q)[:, :, None] * np.eye(2) - rk4.R1,
+                        w[:, :, None])[:, :, 0]
+    v = X.real.sum(axis=0)
+    return ((np.exp(1j * np.outer([j * dt], om)) @ X).real[0]
+            - np.linalg.matrix_power(rk4.R1, j) @ v)
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_residual_mode_first_state_has_matrix_power_bits(j):
+    # a window of the one state j: R1^j v takes np.linalg.matrix_power's
+    # products, among them its (R1 R1) R1 for j = 3, which differs from
+    # R1 (R1 R1) in the last bit for some of these modes
+    modes = np.array([3, 6, 12])
+    for a1 in np.linspace(0.001, 3.0, 60):
+        params = BeamParams.dimensionless(a1=a1)
+        dt = 0.05 / ((modes * math.pi) ** 2 * max(1.0, a1))
+        hs = [(1.0, 0.9 * (k * math.pi) ** 2, 0.2) for k in modes]
+        got = [simulate_residual_mode(params, int(k), [h], t_final=j * step,
+                                      dt=step, settle_time=(j - 1) * step)
+               for k, h, step in zip(modes, hs, dt)]
+        want = [matrix_power_state(params, k, h, step, j)
+                for k, h, step in zip(modes, hs, dt)]
+        assert sup_bits(got) == sup_bits(
+            [(math.hypot(*x), abs(x[0])) for x in want])
+
+
+def test_residual_mode_batch_refuses_the_first_mode_over_the_limit():
+    # under Kelvin-Voigt damping mode 60 would take 1.6e7 steps and mode 70
+    # 2.9e7, both over the limit; mode 4 is in range
+    kv = {"damping_model": DampingModel.KELVIN_VOIGT}
+    modes = np.array([4, 60, 70])
+    hs = resonant_frequencies(PARAMS, modes, DampingModel.KELVIN_VOIGT)
+    hs = np.stack([np.ones(3), hs, np.zeros(3)], axis=-1)[:, None]
+    with pytest.raises(ConfigError) as batch:
+        simulate_residual_mode(PARAMS, modes, hs, **kv)
+    with pytest.raises(ConfigError) as single:
+        simulate_residual_mode(PARAMS, 60, [tuple(hs[1, 0])], **kv)
+    assert str(batch.value) == str(single.value)
+    assert str(batch.value).startswith("residual mode 60 would take ")
+
+
+def test_residual_mode_batch_memory_does_not_grow_with_horizon():
+    modes = np.arange(5, 9)
+    om = resonant_frequencies(PARAMS, modes, DampingModel.STRUCTURAL)
+    hs = np.stack([np.ones(4), om, np.zeros(4)], axis=-1)[:, None]
+    tracemalloc.start()
+    try:
+        sups, _ = simulate_residual_mode(PARAMS, modes, hs, t_final=400.0,
+                                         dt=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 4e5 steps a mode and 1.6e6 in all: held at once, the states alone
+    # would take 25.6 MB
+    assert (sups > 0.0).all()
+    assert peak < 4e6, peak
+
+
 def test_residual_mode_steady_amplitude_oracle():
     # off-resonance harmonic: compare against the frequency-response formula
     k = 4
@@ -1018,11 +1133,12 @@ def test_residual_mode_requires_damping():
 # output tail: row norms and the blocked finiteness tests
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("width", [*range(13), 40, 130, 400])
+@pytest.mark.parametrize("width", [*range(13), 40, 128, 129, 130, 200, 400])
 def test_row_norms_are_numpy_norms_bit_for_bit(width):
     # rows narrower than 8 are summed column by column, the others by
-    # NumPy; both must give np.linalg.norm's bits, on contiguous blocks and
-    # on strided column views of a wider history alike
+    # NumPy's reduction; both must give np.linalg.norm's bits, on contiguous
+    # blocks and on strided column views of a wider history alike, at every
+    # scale from 1e-20 to 1e20
     rng = np.random.default_rng(width)
     history = (rng.standard_normal((1501, width + 5))
                * 10.0 ** rng.integers(-8, 9, (1501, width + 5)))
@@ -1034,7 +1150,8 @@ def test_row_norms_are_numpy_norms_bit_for_bit(width):
              np.ascontiguousarray(history[:7, 1 : 1 + width]),
              history[:1, :width]]
     with np.errstate(over="ignore"):       # squares above 1e308 are inf
-        for x in views:
+        for x, scale in itertools.product(views, (1e-20, 1.0, 1e20)):
+            x = x * scale if scale != 1.0 else x
             assert row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
 
 
