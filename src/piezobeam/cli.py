@@ -29,7 +29,7 @@ from .errors import (
     UnstableMatrixError,
 )
 from .modal import DampingModel, assemble, mode_roots
-from .simulate import simulate
+from .simulate import TIMESERIES, simulate
 from .synthesis import check_placement
 
 EXIT_OK = 0
@@ -181,12 +181,6 @@ def write_csv(path, header, rows):
     return path
 
 
-def _timeseries_rows(result):
-    """The timeseries table, one row per step, as an (n+1) x 6 array."""
-    return np.column_stack([result.t, result.norm_e, result.norm_z, result.V,
-                            result.y, result.norm_residual])
-
-
 def cmd_check(config, out_dir):
     system = config.build_system()
     verdict = check_placement(system)
@@ -223,9 +217,8 @@ def cmd_simulate(config, out_dir):
     result = simulate(system, gains, config.disturbance, config.noise,
                       config.sim)
     path = write_csv(
-        out_dir / f"{config.label}_timeseries.csv",
-        ["t", "norm_e", "norm_z", "V", "y", "norm_residual"],
-        _timeseries_rows(result),
+        out_dir / f"{config.label}_timeseries.csv", TIMESERIES,
+        result.timeseries,
     )
     print(f"wrote {path} ({len(result.t)} rows, dt = {_fmt(result.dt)})")
     try:

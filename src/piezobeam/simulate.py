@@ -37,15 +37,19 @@ blocks share.  With g channels and d stepped states it costs
 n 2g d + b 3g d^2 flops, so b is also held to at most 2n / 3d (or 1):
 building the (3b + 1) g d weights then costs no more than the sum, and
 they take at most about the room of the (2n + 1) g channel table.  The
-coupled simulation takes its forcing on the half-step grid from
-``signals.cosine_sum_grid`` (angle addition: O(sqrt(count)) cos/sin calls
-per harmonic), one table per distinct harmonic set.  The residual-mode
-runs stack R1 and P*G per mode and solve the recurrence in closed form on
-the states they keep, all modes in one batch.
+coupled simulation has one channel per distinct harmonic set (modes that
+share their harmonics share a column of G) and one for the noise, and
+takes the forcing on the half-step grid from ``signals.cosine_sum_grid``
+(angle addition: O(sqrt(count)) cos/sin calls per harmonic).  The
+residual-mode runs stack R1 and P*G per mode and solve the recurrence in
+closed form on the states they keep, all modes in one batch; their
+phasors e^(i j dt om) also come by angle addition, as a coarse times a
+fine factor with the fine length fixed at F = sqrt(CHUNK_ROWS).
 
 Once every state of the history is found finite, V, y and the norms of
-e, z and z_res are filled in CHUNK_ROWS-row blocks, each by the
-whole-array expressions (so with the same bits; ``row_norms`` keeps
+e, z and z_res are filled in CHUNK_ROWS-row blocks into the columns of
+one (n + 1) x 6 table in the CSV's column order (``TIMESERIES``), each by
+the whole-array expressions (so with the same bits; ``row_norms`` keeps
 NumPy's summation order): no full-length temporary and no z_hat history
 is kept.  Both finiteness tests take one block at a time and locate the
 row only in a block that fails.
@@ -82,9 +86,17 @@ DT_IMAG_FACTOR = 2 * math.pi / 20.0  # >= 20 steps per fastest period
 # whatever the horizon.
 CHUNK_ROWS = 1 << 14
 
+# Fine length F of the residual-mode phasor tables (``_phasors``): fixed,
+# not taken from a pass's length, so a mode's values do not depend on the
+# pass it lands in.
+PHASOR_FINE = math.isqrt(CHUNK_ROWS)
+
 # Most states (n + 1) x dim of one run: 128 MiB of floats, above 192k steps
 # at dim 22 and 40k steps at dim 200.
 MAX_HISTORY_VALUES = 1 << 24
+
+# The series of a run's timeseries table, in its (and the CSV's) column order.
+TIMESERIES = ("t", "norm_e", "norm_z", "V", "y", "norm_residual")
 
 
 class Coupling(Enum):
@@ -129,12 +141,15 @@ class SimulationResult:
     """Trajectories on the time grid plus derived histories.
 
     z, e and residual are the integrated state (z, e, z_res); z_hat is not
-    stored but derived as z - e on each access.  Norms are Euclidean norms
+    stored but derived as z - e on each access.  ``timeseries`` is the
+    C-contiguous (n+1) x 6 table of the TIMESERIES series, and t, V, y and
+    the three norms are views of its columns.  Norms are Euclidean norms
     of the stacked modal coefficient vectors.  force_sup is the sup over
     the grid of the retained modal force vector norm a2 ||(f_1..f_N)||.
     noise is the spec as run, with its hold resolved.
     """
 
+    timeseries: np.ndarray
     t: np.ndarray
     z: np.ndarray
     e: np.ndarray
@@ -302,6 +317,9 @@ class CoupledDynamics:
     ConfigError, and an unset dt on an M with max Re eig(M) >= 0 is an
     UnstableMatrixError.  A noise spec without a hold gets ten steps.
 
+    G has a column per entry of ``channels``, the distinct harmonic sets
+    of the driven modes present, and a last one for the noise;
+    ``retained_channels`` is the column of each driven retained mode.
     ``live`` lists, in order, the states that X(0) = ``x0`` and the forcing
     G reach through the nonzeros of M; ``rk4`` propagates M and G
     restricted to them.  Every other state stays exactly 0.
@@ -354,19 +372,26 @@ class CoupledDynamics:
         self.noise = (noise if noise.hold is not None
                       else replace(noise, hold=10.0 * self.dt))
 
-        # forcing channels: one per driven mode present, plus the noise path.
-        # A retained mode's force drives z and e alike (z_hat sees none).
+        # forcing channels: one per distinct harmonic set of the driven modes
+        # present, plus the noise path.  Modes with equal harmonics share a
+        # column (their rows do not overlap, so G stays exact).  A retained
+        # mode's force drives z and e alike (z_hat sees none).
         a2 = system.params.a2
         driven = disturbance.driven_mode_count
         retained = range(1, min(N, driven) + 1)
         residual = [int(k) for k in self.block.modes if k <= driven]
-        self.forced_modes = [*retained, *residual]
-        self.retained_forced = len(retained)
-        G = np.zeros((self.dim, len(self.forced_modes) + 1))
-        for j, n in enumerate(retained):
-            G[[N + n - 1, 3 * N + n - 1], j] = a2
-        for j, k in enumerate(residual, len(retained)):
-            G[3 * N + R + k - 1, j] = a2
+        column, channel = {}, {}     # mode -> column, harmonic set -> column
+        for n in [*retained, *residual]:
+            hs = tuple((h.amplitude, h.omega, h.phase)
+                       for h in disturbance.mode_harmonics[n - 1])
+            column[n] = channel.setdefault(hs, len(channel))
+        self.channels = list(channel)
+        self.retained_channels = [column[n] for n in retained]
+        G = np.zeros((self.dim, len(channel) + 1))
+        for n in retained:
+            G[[N + n - 1, 3 * N + n - 1], column[n]] = a2
+        for k in residual:
+            G[3 * N + R + k - 1, column[k]] = a2
         G[e, -1] = -self.L
         self.G = G
 
@@ -451,31 +476,24 @@ def simulate(system, gains, disturbance, noise, config):
     N, dt, live = dyn.N, dyn.dt, dyn.live
 
     n_steps = _step_count(config.t_final, dt, dyn.dim)
-    t = np.arange(n_steps + 1) * dt
-
     X = np.empty((n_steps + 1, live.size))
     X[0] = dyn.x0[live]
 
     # channel values on the half-step grid: stage times of step i are
-    # 2i, 2i+1, 2i+2, so t[i] == half_times[2i].  Modes with the same
-    # harmonics share one synthesized column.
+    # 2i, 2i+1, 2i+2, so t[i] == half_times[2i]
     count = 2 * n_steps + 1
-    c = np.empty((count, len(dyn.forced_modes) + 1))
-    columns = {}
-    for j, n in enumerate(dyn.forced_modes):
-        hs = tuple((h.amplitude, h.omega, h.phase)
-                   for h in disturbance.mode_harmonics[n - 1])
-        if hs not in columns:
-            columns[hs] = cosine_sum_grid(hs, dt / 2.0, count)
-        c[:, j] = columns[hs]
+    c = np.empty((count, len(dyn.channels) + 1))
+    for j, hs in enumerate(dyn.channels):
+        c[:, j] = cosine_sum_grid(hs, dt / 2.0, count)
     c[:, -1] = noise_samples(dyn.noise, np.arange(count) * (dt / 2.0))
     dyn.rk4.run(X, c)
     xi = c[::2, -1].copy()   # the noise channel
-    force = c[::2, : dyn.retained_forced]      # the retained modes' forces
+    # the retained modes' forces, gathered from their channels by chunks
     force_sup = system.params.a2 * float(np.max([
-        np.max(row_norms(force[i0 : i0 + CHUNK_ROWS]))
+        np.max(row_norms(c[2 * i0 : 2 * (i0 + CHUNK_ROWS) : 2,
+                           dyn.retained_channels]))
         for i0 in range(0, n_steps + 1, CHUNK_ROWS)]))
-    del c, columns, force    # freed before the post-processing temporaries
+    del c                    # freed before the post-processing temporaries
     for i0 in range(1, n_steps + 1, CHUNK_ROWS):
         k = _first_nonfinite(X[i0 : i0 + CHUNK_ROWS])
         if k is not None:
@@ -487,12 +505,13 @@ def simulate(system, gains, disturbance, noise, config):
     res = _states(X, live, 4 * N, dyn.dim)
     a, b = np.searchsorted(live, [4 * N, dyn.dim])   # reached residual states
     X_res, C_res = X[:, a:b], dyn.block.C[live[a:b] - 4 * N]
+    table = np.empty((n_steps + 1, len(TIMESERIES)))
+    t, norm_e, norm_z, V, y, norm_res = table.T
+    t[:] = np.arange(n_steps + 1) * dt
     # block by block, each row by the whole-array expression: the bits stay
     # (V keeps the -0 of a zero z_hat, which (z - e) @ -K would make +0).
     # A finite state can still overflow them (a norm squares it), which
     # ends the run like a non-finite state.
-    derived = np.empty((5, n_steps + 1))
-    V, y, norm_e, norm_z, norm_res = derived
     for i0 in range(0, n_steps + 1, CHUNK_ROWS):
         s = slice(i0, i0 + CHUNK_ROWS)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -501,19 +520,36 @@ def simulate(system, gains, disturbance, noise, config):
             norm_e[s] = row_norms(e[s])
             norm_z[s] = row_norms(z[s])
             norm_res[s] = row_norms(X_res[s])
-        k = _first_nonfinite(derived[:, s].T)
+        k = _first_nonfinite(table[s, 1:])
         if k is not None:
             step = i0 + k
-            names = ("V", "y", "norm_e", "norm_z", "norm_residual")
-            finite = np.isfinite(derived[:, step])
+            finite = np.isfinite(table[step, 1:])
             raise DivergenceError(step, step * dt, ", ".join(
-                name for name, ok in zip(names, finite) if not ok))
+                name for name, ok in zip(TIMESERIES[1:], finite) if not ok))
 
     return SimulationResult(
-        t=t, z=z, e=e, residual=res, V=V, y=y, norm_e=norm_e, norm_z=norm_z,
-        norm_residual=norm_res, force_sup=force_sup, dt=dt, system=system,
-        gains=gains, disturbance=disturbance, noise=dyn.noise, config=config,
+        timeseries=table, t=t, z=z, e=e, residual=res, V=V, y=y,
+        norm_e=norm_e, norm_z=norm_z, norm_residual=norm_res,
+        force_sup=force_sup, dt=dt, system=system, gains=gains,
+        disturbance=disturbance, noise=dyn.noise, config=config,
     )
+
+
+def _phasors(j0, dt, om, rows):
+    """e^(i (j0 + r) dt om) for r < ``rows``, shaped (P, rows, H), of P
+    slices with first states j0 (P,), steps dt (P,) and frequencies om
+    (P, H).  By angle addition with F = PHASOR_FINE, row r = qF + s is
+    e^(i (j0 + qF) dt om) e^(i s dt om): ceil(rows / F) + min(rows, F)
+    complex exps a slice and harmonic instead of rows.  Row 0 has np.exp's
+    bits, its fine factor being exactly 1."""
+    om = om[:, None]
+    coarse = np.exp(1j * (((j0[:, None] + PHASOR_FINE
+                            * np.arange(-(-rows // PHASOR_FINE)))
+                           * dt[:, None])[..., None] * om))
+    fine = np.exp(1j * ((np.arange(min(rows, PHASOR_FINE)) * dt[:, None])
+                        [..., None] * om))
+    return (coarse[:, :, None] * fine[:, None]).reshape(
+        len(j0), -1, om.shape[-1])[:, :rows]
 
 
 def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
@@ -533,10 +569,13 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
 
     An array of B modes with ``harmonics`` shaped (B, H, 3) gives two (B,)
     arrays, each mode with its own defaults; the first over the limit is
-    refused.  Each mode's kept states go in CHUNK_ROWS-row slices; a pass
-    takes consecutive slices while count x longest <= CHUNK_ROWS.  R1^i v
-    comes by doubling from a slice's first row: with no eigenbasis, a
-    critically damped mode (R1 defective) needs no special case.
+    refused, and so is the first whose R1 has spectral radius >= 1 (an
+    explicit dt past the mode's RK4 stability limit).  Each mode's kept
+    states go in CHUNK_ROWS-row slices; a pass takes consecutive slices
+    while count x longest <= CHUNK_ROWS, with the phasors z^i of
+    ``_phasors``.  R1^i v comes by doubling from a slice's first row: with
+    no eigenbasis, a critically damped mode (R1 defective) needs no special
+    case.
     """
     modes = np.atleast_1d(k)
     hs = np.asarray(harmonics, dtype=float).reshape(len(modes), -1, 3)
@@ -545,7 +584,8 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
                                                         ix[:, None, :]]
     if not np.all(M[:, 1, 1] < 0.0):
         raise ValueError("residual-mode study requires positive damping")
-    rates = -mode_roots(params, modes, damping_model)[0].real
+    roots = np.array(mode_roots(params, modes, damping_model))  # slow, fast
+    rates = -roots[0].real
     dts, slices = np.empty(len(modes)), []
     for b, mode in enumerate(modes.tolist()):
         d, rate = -M[b, 1, 1], float(rates[b])
@@ -574,6 +614,17 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
             i += 1
         slices += [(b, j0, min(CHUNK_ROWS, n + 1 - j0))
                    for j0 in range(i + 1, n + 1, CHUNK_ROWS)]
+    # R1 = p(dt M), p the RK4 polynomial: its eigenvalues are p(dt lambda)
+    z = dts * roots
+    with np.errstate(over="ignore", invalid="ignore"):
+        radius = np.abs(1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24))))
+    radius = radius.max(axis=0)
+    if not np.all(radius < 1.0):
+        b = int(np.argmin(radius < 1.0))
+        raise ConfigError(
+            f"residual mode {modes[b]} diverges under RK4 at dt = "
+            f"{dts[b]:.3e}: its step propagator R1 has spectral radius "
+            f"{radius[b]:.4g} >= 1; reduce dt or leave it unset")
     rk4 = RK4(M, np.array([[0.0], [params.a2]]), dts[:, None, None])
     a, om, ph = np.moveaxis(hs, -1, 0)
     q = np.exp(0.5j * dts[:, None] * om)[..., None]
@@ -597,8 +648,7 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
                and (p1 + 1 - p0) * max(L, rows[p1]) <= CHUNK_ROWS):
             p1, L = p1 + 1, max(L, rows[p1])
         b = sb[p0:p1]
-        x = (np.exp(1j * (((j0[p0:p1, None] + np.arange(L)) * dts[b, None])
-                          [..., None] * om[b, None])) @ X[b]).real.copy()
+        x = (_phasors(j0[p0:p1], dts[b], om[b], L) @ X[b]).real.copy()
         tr = np.empty_like(x)                     # tr[:, r] = R1^(j0 + r) v
         tr[:, 0] = Rv[p0:p1]
         Rm, m = rk4.R1[b], 1

@@ -1,3 +1,5 @@
+import gc
+import importlib
 import math
 import re
 import tracemalloc
@@ -14,7 +16,7 @@ from piezobeam.config import PRESETS, load_config, resolve_config
 from piezobeam.errors import ConfigError
 from piezobeam.modal import DampingModel, mode_roots
 from piezobeam.signals import NoiseWaveform
-from piezobeam.simulate import RK4, Coupling, simulate
+from piezobeam.simulate import CHUNK_ROWS, RK4, Coupling, simulate
 from piezobeam.synthesis import radial_pole_targets
 
 
@@ -828,6 +830,43 @@ def test_all_number_tables_take_the_digit_tables(tmp_path, monkeypatch):
     assert calls == [(2 * CSV_CHUNK_ROWS, 6), (3, 6), (40, 5)]
 
 
+def test_simulate_memory_is_its_history_and_tables(tmp_path, monkeypatch):
+    # fig1 to t = 6: n = 24,000 steps of 12 live states, 10 undriven
+    # residual states, one comb channel and the noise.  Up to the end of the
+    # RK4 run the peak is the history X and the channel table c, plus the
+    # channel synthesis's half-step temporaries (4 words a half step) and a
+    # CHUNK_ROWS-row block six values wide; over the whole command it is X,
+    # the residual zeros, the timeseries table and c, plus such a block.  A
+    # full-length copy breaks it: the series column-stacked for the CSV, or
+    # a channel per mode where the three modes share their harmonics.
+    sim = importlib.import_module("piezobeam.simulate")
+    path = write_config(tmp_path, {"preset": "fig1", "sim": {"t_final": 6.0}})
+    argv = ["simulate", "--config", path, "--out", str(tmp_path)]
+    assert main(argv) == 0               # warm-up: the CSV's digit tables
+    run, run_peaks = sim.RK4.run, []
+
+    def traced_run(self, X, c):
+        out = run(self, X, c)
+        run_peaks.append(tracemalloc.get_traced_memory()[1])
+        return out
+
+    monkeypatch.setattr(sim.RK4, "run", traced_run)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows, half_steps = 24001, 48001
+    csv = tmp_path / "fig1_timeseries.csv"
+    assert csv.read_bytes().count(b"\n") == rows + 1     # and the header
+    X, zeros, table = 8 * rows * 12, 8 * rows * 10, 8 * rows * 6
+    c, block = 8 * half_steps * 2, 8 * CHUNK_ROWS * 6
+    assert run_peaks[0] <= X + c + 8 * half_steps * 4 + block, run_peaks
+    assert peak <= X + zeros + table + c + block, peak
+
+
 def test_small_table_allocates_only_its_own_records(tmp_path):
     # a 3 x 5 table took a full CSV_CHUNK_ROWS x 5 record buffer
     # (40 * 1024 * 5 = 204,800 bytes) and dropped the unused bytes of it
@@ -963,7 +1002,7 @@ def test_array_csv_fast_path_covers_simulate_rows(tmp_path, monkeypatch):
     system = config.build_system()
     result = simulate(system, config.build_gains(system), config.disturbance,
                       config.noise, config.sim)
-    array = cli._timeseries_rows(result)
+    array = result.timeseries
     calls = []
     monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or _fmt(v))
     header = ["t", "norm_e", "norm_z", "V", "y", "norm_residual"]

@@ -2,6 +2,7 @@ import gc
 import importlib
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -34,9 +35,11 @@ from piezobeam.signals import (
 from piezobeam.simulate import (
     CHUNK_ROWS,
     RK4,
+    TIMESERIES,
     CoupledDynamics,
     Coupling,
     SimConfig,
+    _phasors,
     row_norms,
     simulate,
     simulate_residual_mode,
@@ -110,39 +113,54 @@ def test_dc_gain_single_mode():
     assert res.z[-1, 0] == pytest.approx(expect, rel=1e-3)
 
 
-def channel_values(dyn, dist, times):
-    """Channel values c(t): each forced mode's f_n term by term, then noise."""
+def channel_values(dyn, times):
+    """Channel values c(t): each channel's harmonics term by term, then
+    noise."""
     times = np.asarray(times, dtype=float)
-    c = np.empty((times.size, len(dyn.forced_modes) + 1))
-    for j, n in enumerate(dyn.forced_modes):
-        c[:, j] = modal_force(dist, n, times)
+    c = np.empty((times.size, len(dyn.channels) + 1))
+    for j, hs in enumerate(dyn.channels):
+        c[:, j] = sum(a * np.cos(om * times + ph) for a, om, ph in hs)
     c[:, -1] = noise_samples(dyn.noise, times)
     return c
 
 
-def pointwise_step(dyn, dist, x, t):
+def modal_forcing(dyn, dist, t):
+    """G c(t) mode by mode, without G: a2 f_n on w_n' of z and of e for a
+    retained mode, a2 f_k on w_k' of a residual mode, -L xi on e."""
+    N, R, a2 = dyn.N, dyn.R, PARAMS.a2
+    g = np.zeros(dyn.dim)
+    for n in range(1, N + 1):
+        g[[N + n - 1, 3 * N + n - 1]] = a2 * modal_force(dist, n, t)
+    for k in dyn.block.modes:
+        g[3 * N + R + k - 1] = a2 * modal_force(dist, int(k), t)
+    g[2 * N : 4 * N] -= dyn.L * noise_samples(dyn.noise, np.array([t]))[0]
+    return g
+
+
+def pointwise_step(dyn, x, t):
     """Reference: one RK4 step from (x, t) in propagator form, with the
     forces evaluated pointwise instead of from the synthesized grid."""
-    c = channel_values(dyn, dist, np.array([t, t + dyn.dt / 2, t + dyn.dt]))
+    c = channel_values(dyn, np.array([t, t + dyn.dt / 2, t + dyn.dt]))
     rk4 = dyn.rk4
     return rk4.R1 @ x + rk4.P1G @ c[0] + rk4.P23G @ c[1] + rk4.P4G @ c[2]
 
 
 def test_step_matches_textbook_rk4():
-    # independent oracle: explicit four-stage RK4 on x' = M x + g(t)
+    # independent oracle: explicit four-stage RK4 on x' = M x + g(t), with
+    # g from each mode's own force; the comb drives modes 1-3 (two
+    # retained, one residual) through one shared channel
     system = assemble(PARAMS, 2, PATCH)
     gains = fig_gains(system)
     dist = polyharmonic_disturbance(PARAMS, driven_modes=3)
     noise = NoiseSpec(bound=0.02, seed=6, hold=0.01)
     cfg = SimConfig(t_final=1.0, dt=3e-4, residual_modes=1, seed=3)
     dyn = CoupledDynamics(system, gains, dist, noise, cfg)
+    assert dyn.G.shape[1] == 2
     rng = np.random.default_rng(0)
     x = rng.standard_normal(dyn.dim)
 
-    G = dyn.rk4.P4G * (6.0 / dyn.dt)  # P4 = (dt/6) I, so this recovers G
-
     def g(t):
-        return G @ channel_values(dyn, dist, np.array([t]))[0]
+        return modal_forcing(dyn, dist, t)
 
     t0, dt = 0.17, dyn.dt
     k1 = dyn.M @ x + g(t0)
@@ -150,7 +168,7 @@ def test_step_matches_textbook_rk4():
     k3 = dyn.M @ (x + dt / 2 * k2) + g(t0 + dt / 2)
     k4 = dyn.M @ (x + dt * k3) + g(t0 + dt)
     expect = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    np.testing.assert_allclose(pointwise_step(dyn, dist, x, t0), expect,
+    np.testing.assert_allclose(pointwise_step(dyn, x, t0), expect,
                                rtol=1e-12, atol=1e-12)
 
 
@@ -182,7 +200,7 @@ def test_simulate_matches_sequential_steps(n):
     expect = np.empty_like(X)
     expect[0] = dyn.initial_state(cfg)
     for i in range(n):
-        expect[i + 1] = pointwise_step(dyn, dist, expect[i], i * dt)
+        expect[i + 1] = pointwise_step(dyn, expect[i], i * dt)
     np.testing.assert_array_equal(X[0], expect[0])
     np.testing.assert_allclose(X, expect, rtol=0,
                                atol=1e-11 * np.max(np.abs(expect)))
@@ -209,12 +227,12 @@ WIDE = {"N": 20, "placement": {"x2": 0.1037, "x0": 0.0951},
         "sim": {"dt": None, "t_final": 0.002, "residual_modes": 60}}
 
 
-def full_state_run(dyn, dist, cfg, n):
+def full_state_run(dyn, cfg, n):
     """Reference: the whole X stepped by one RK4 on the full M and G, with
     the channels evaluated pointwise."""
     X = np.empty((n + 1, dyn.dim))
     X[0] = dyn.initial_state(cfg)
-    c = channel_values(dyn, dist, np.arange(2 * n + 1) * (dyn.dt / 2))
+    c = channel_values(dyn, np.arange(2 * n + 1) * (dyn.dt / 2))
     return RK4(dyn.M, dyn.G, dyn.dt).run(X, c)
 
 
@@ -249,7 +267,7 @@ def test_reached_states_match_the_full_state_run(data, reached):
     assert dyn.live.size == reached
 
     X = np.concatenate([res.z, res.e, res.residual], axis=1)
-    expect = full_state_run(dyn, dist, cfg, len(res.t) - 1)
+    expect = full_state_run(dyn, cfg, len(res.t) - 1)
     np.testing.assert_allclose(X, expect, rtol=0,
                                atol=1e-11 * np.max(np.abs(expect)))
     unreached = np.setdiff1d(np.arange(dyn.dim), dyn.live)
@@ -275,17 +293,22 @@ def propagator_loop(rk4, x0, c, n):
     return X
 
 
-# N 20, R 60 with every residual mode driven: g = 81 channels, d = 200
+# N 20, R 60 with every residual mode driven: all d = 200 states are live.
+# The 80 modes share one comb, so its G has 2 columns; the scan tests give
+# it 81 random ones, one per mode and the noise.
 G81 = {"N": 20, "placement": {"x2": 0.1037, "x0": 0.0951},
        "disturbance": {"driven_modes": 80},
        "sim": {"dt": None, "t_final": 0.05, "residual_modes": 60}}
 
 
-def scan_propagator(data):
-    """The RK4 of a config's coupled run (its live states only)."""
+def scan_propagator(data, g):
+    """The RK4 of a config's coupled operator on its live states, forced
+    through g random channels."""
     config, system, gains = built(data)
-    return CoupledDynamics(system, gains, config.disturbance, config.noise,
-                           config.sim).rk4
+    dyn = CoupledDynamics(system, gains, config.disturbance, config.noise,
+                          config.sim)
+    G = np.random.default_rng(g).standard_normal((dyn.live.size, g))
+    return RK4(dyn.M[np.ix_(dyn.live, dyn.live)], G, dyn.dt)
 
 
 def empty_propagator():
@@ -319,7 +342,8 @@ def assert_scan_matches_loop(rk4, n, seed):
     (None, 2000, (0, 4), 32),        # no state
 ], ids=["fig1_tail", "fig1_whole", "g81", "empty"])
 def test_run_matches_the_one_step_loop(data, n, shape, b):
-    rk4 = empty_propagator() if data is None else scan_propagator(data)
+    rk4 = (empty_propagator() if data is None
+           else scan_propagator(data, shape[1]))
     assert rk4.P4G.shape == shape
     assert block_size(n, shape[0]) == b
     assert_scan_matches_loop(rk4, n, seed=n)
@@ -336,13 +360,14 @@ def test_run_on_few_blocks_matches_the_one_step_loop(n, blocks, tail, empty):
     assert_scan_matches_loop(rk4, n, seed=n)
 
 
-@pytest.mark.parametrize("data", [FIG1, G81], ids=["fig1", "g81"])
-def test_run_allocates_at_most_twice_the_channel_table(data):
+@pytest.mark.parametrize("data, g", [(FIG1, 4), (G81, 81)],
+                         ids=["fig1", "g81"])
+def test_run_allocates_at_most_twice_the_channel_table(data, g):
     # the forcing pass's stage table, 1.5 times c below CHUNK_ROWS steps,
     # is freed before the channel sum, whose weights stay within about c
     # because b <= 2n / 3d (at g81, b = sqrt(n / 2) = 32 would make them
     # 4.9 times c)
-    rk4 = scan_propagator(data)
+    rk4 = scan_propagator(data, g)
     d, g = rk4.P4G.shape
     n = 2000
     c = np.random.default_rng(0).standard_normal((2 * n + 1, g))
@@ -368,7 +393,7 @@ def test_block_ends_are_the_forced_response_from_rest(m, b, tail,
     # block k's rows 2kb..2kb + 2b, which the sum must not read past; with
     # shared_rows_only the channels are 0 but on the rows 2kb that blocks
     # k - 1 and k share (so with one block every end is exactly 0)
-    rk4 = scan_propagator(FIG1)
+    rk4 = scan_propagator(FIG1, 4)
     d, g = rk4.P4G.shape
     rng = np.random.default_rng(100 * m + b)
     c = rng.standard_normal((2 * (m * b + tail) + 1, g))
@@ -539,8 +564,9 @@ def test_one_residual_block_and_one_spectrum_per_run(monkeypatch):
 
 @pytest.mark.parametrize("kind, sizes", [("fig1", [11]), ("tail", [1, 1, 1])])
 def test_one_force_table_per_distinct_harmonic_set(monkeypatch, kind, sizes):
-    # fig1 drives modes 1-3 with the same comb: one synthesized table; the
-    # tail load drives each mode at its own frequency: one table each
+    # fig1 drives modes 1-3 with the same comb: one synthesized table and
+    # one channel; the tail load drives each mode at its own frequency: one
+    # of each per mode
     sim = importlib.import_module("piezobeam.simulate")
     calls = []
     kernel = sim.cosine_sum_grid
@@ -553,10 +579,11 @@ def test_one_force_table_per_distinct_harmonic_set(monkeypatch, kind, sizes):
     system = assemble(PARAMS, 3, PATCH)
     dist = (polyharmonic_disturbance(PARAMS) if kind == "fig1"
             else tail_disturbance(PARAMS, 1.0, 3))
-    res = simulate(system, fig_gains(system), dist,
-                   NoiseSpec(bound=0.01, seed=2),
-                   SimConfig(t_final=0.05, dt=2.5e-4, residual_modes=5))
+    args = (system, fig_gains(system), dist, NoiseSpec(bound=0.01, seed=2),
+            SimConfig(t_final=0.05, dt=2.5e-4, residual_modes=5))
+    res = simulate(*args)
     assert calls == sizes   # harmonics per synthesized table
+    assert CoupledDynamics(*args).G.shape[1] == len(sizes) + 1
     assert np.all(np.isfinite(res.z))
 
 
@@ -669,6 +696,30 @@ def test_divergence_raises():
     assert err.value.time < 10.0
 
 
+@pytest.mark.parametrize("z_hat0, names", [
+    ([1e153, 0.0, 0.0, 0.0], "V"),
+    ([1e160, 0.0, 0.0, 0.0], "norm_e, V"),
+    ([0.0, 0.0, 0.0, 1e160], "norm_e"),
+])
+def test_overflowing_series_are_named_by_their_columns(z_hat0, names):
+    # finite states whose series overflow at step 0: with a gain of 1e156
+    # on w_1, V = -z_hat @ K overflows where ||e|| = ||z_hat|| need not,
+    # and the other way round (z0 = 0).  Named in the table's column order;
+    # dt is below the cap of this unstable loop.
+    system = assemble(PARAMS, 2, PATCH)
+    gains = GainSet(K=np.array([1e156, 0.0, 0.0, 0.0]), L=np.zeros(4),
+                    lambda_K=1.0, lambda_L=1.0, K_norm=1e156, L_norm=0.0,
+                    BK_norm=0.0)
+    cfg = SimConfig(t_final=0.0, dt=1e-300, z0=np.zeros(4),
+                    z_hat0=np.array(z_hat0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            simulate(system, gains, NO_FORCE, NO_NOISE, cfg)
+    assert str(err.value) == f"{names} became non-finite at step 0 (t = 0)"
+    assert set(names.split(", ")) <= set(TIMESERIES)
+
+
 def test_divergence_step_matches_sequential_oracle():
     system = assemble(PARAMS, 2, PATCH)
     bad = unstable_gains(system)
@@ -685,7 +736,7 @@ def test_divergence_step_matches_sequential_oracle():
     first_bad = None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            x = pointwise_step(dyn, NO_FORCE, x, i * dt)
+            x = pointwise_step(dyn, x, i * dt)
             if not np.all(np.isfinite(x)):
                 first_bad = i + 1
                 break
@@ -1127,6 +1178,51 @@ def test_residual_mode_resonant_amplitude():
 def test_residual_mode_requires_damping():
     with pytest.raises(ValueError):
         simulate_residual_mode(BeamParams(a1=0.0, a2=1.0), 4, [(1.0, 1.0, 0.0)])
+
+
+@pytest.mark.parametrize("modes", [[20], [4, 20, 21]])
+def test_residual_mode_refuses_a_diverging_recurrence(modes):
+    # at a1 = 2 under Kelvin-Voigt damping, mode 20 has d dt = 12.5 at this
+    # dt: its R1 has spectral radius 6.3e9, and the closed form overflowed
+    # to nan rows that returned sups of 0 with an "invalid value" warning.
+    # Mode 4 is stable at this dt; the first unstable mode is named.
+    kv = DampingModel.KELVIN_VOIGT
+    params = BeamParams.dimensionless(a1=2.0)
+    om = resonant_frequencies(params, modes, kv)
+    hs = np.stack([np.ones(len(modes)), om, np.zeros(len(modes))],
+                  axis=-1)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigError) as err:
+            simulate_residual_mode(params, np.array(modes), hs, t_final=0.2,
+                                   dt=2e-5, settle_time=0.1, damping_model=kv)
+    assert re.fullmatch(
+        r"residual mode 20 diverges under RK4 at dt = 2\.000e-05: its step "
+        r"propagator R1 has spectral radius 6\.25\de\+09 >= 1; reduce dt or "
+        r"leave it unset", str(err.value)), str(err.value)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(j0=st.lists(st.integers(1, 2**23), min_size=1, max_size=3),
+       rows=st.integers(1, CHUNK_ROWS),
+       dt=st.lists(st.floats(1e-7, 1e-2), min_size=3, max_size=3),
+       om=st.lists(st.floats(-1e4, 1e4), min_size=9, max_size=9),
+       H=st.integers(1, 3))
+def test_phasors_are_np_exp_by_angle_addition(j0, rows, dt, om, H):
+    # each entry within 8 eps (1 + |phase|) of the pointwise np.exp, whose
+    # phase rounds by about eps |phase| (as do the coarse and fine ones);
+    # every slice's first row with np.exp's bits
+    j0 = np.array(j0)
+    dt, om = np.array(dt[: len(j0)]), np.array(om).reshape(3, 3)[: len(j0), :H]
+    phase = (((j0[:, None] + np.arange(rows)) * dt[:, None])[..., None]
+             * om[:, None])
+    want = np.exp(1j * phase)
+    got = _phasors(j0, dt, om, rows)
+    assert got.shape == want.shape == (len(j0), rows, H)
+    err = np.abs(got - want)
+    assert np.all(err <= 8 * np.finfo(float).eps * (1 + np.abs(phase))), \
+        np.max(err / (1 + np.abs(phase)))
+    assert got[:, 0].tobytes() == want[:, 0].tobytes()
 
 
 # ---------------------------------------------------------------------------
