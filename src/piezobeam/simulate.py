@@ -49,10 +49,13 @@ fine factor with the fine length fixed at F = sqrt(CHUNK_ROWS).
 Once every state of the history is found finite, V, y and the norms of
 e, z and z_res are filled in CHUNK_ROWS-row blocks into the columns of
 one (n + 1) x 6 table in the CSV's column order (``TIMESERIES``), each by
-the whole-array expressions (so with the same bits; ``row_norms`` keeps
-NumPy's summation order): no full-length temporary and no z_hat history
+the whole-array expressions: no full-length temporary and no z_hat history
 is kept.  Both finiteness tests take one block at a time and locate the
 row only in a block that fails.
+
+Artifact contract: the same code, config, seeds and BLAS thread count give
+the same bytes; across versions the outputs agree within the benchmark's
+1e-7 relative reference, and CHANGES.md lists the rows a change moves.
 
 Only the states that X(0) and the forcing reach through the nonzeros of M
 are stepped.  That set is closed under M, so RK4 on its sub-block of M is
@@ -443,17 +446,9 @@ def _states(X, live, lo, hi):
 
 
 def row_norms(x):
-    """Euclidean norm of each row of a 2-D float array: the bits of
-    ``np.linalg.norm(x, axis=1)``.  NumPy adds the squares of a row
-    narrower than 8 left to right; summing the columns of a transposed
-    copy in that order gives the same bits without a reduction per row.
-    Wider rows and empty ones take NumPy's expression, less its conj copy."""
-    if not 0 < x.shape[1] < 8:
-        return np.sqrt(np.add.reduce(np.square(x), axis=1))
-    sq = np.square(x.T, order="C")
-    for column in sq[1:]:
-        sq[0] += column
-    return np.sqrt(sq[0])
+    """Euclidean norm of each row of a 2-D float array, with no
+    temporary the size of x."""
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
 def _first_nonfinite(rows):
@@ -508,14 +503,12 @@ def simulate(system, gains, disturbance, noise, config):
     table = np.empty((n_steps + 1, len(TIMESERIES)))
     t, norm_e, norm_z, V, y, norm_res = table.T
     t[:] = np.arange(n_steps + 1) * dt
-    # block by block, each row by the whole-array expression: the bits stay
-    # (V keeps the -0 of a zero z_hat, which (z - e) @ -K would make +0).
-    # A finite state can still overflow them (a norm squares it), which
-    # ends the run like a non-finite state.
+    # A finite state can still overflow V, y or a norm (a norm squares it),
+    # which ends the run like a non-finite state.
     for i0 in range(0, n_steps + 1, CHUNK_ROWS):
         s = slice(i0, i0 + CHUNK_ROWS)
         with np.errstate(over="ignore", invalid="ignore"):
-            V[s] = -((z[s] - e[s]) @ dyn.K)
+            V[s] = e[s] @ dyn.K - z[s] @ dyn.K
             y[s] = z[s] @ system.C + X_res[s] @ C_res + xi[s]
             norm_e[s] = row_norms(e[s])
             norm_z[s] = row_norms(z[s])
@@ -634,12 +627,11 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
                         w[..., None])[..., 0]
     v = X.real.sum(axis=1)
     sb, j0, rows = np.array(slices, dtype=int).reshape(-1, 3).T
-    # R1^j0 of each slice by np.linalg.matrix_power's products, in its order
+    # R1^j0 of each slice by square-and-multiply
     P, Z, e = np.eye(2) + np.zeros((len(sb), 2, 2)), rk4.R1[sb], j0
     while e.any():
         P = np.where((e % 2 == 1)[:, None, None], P @ Z, P)
         Z, e = Z @ Z, e // 2
-    P[j0 == 3] = np.linalg.matrix_power(rk4.R1[sb[j0 == 3]], 3)  # (R1 R1) R1
     Rv = (P @ v[sb, :, None])[..., 0]             # R1^j0 v
     sups, p0 = np.zeros((2, len(modes))), 0
     while p0 < len(slices):

@@ -5,11 +5,16 @@ lines and the reported figures (attenuation ratio, kappa factors, slopes).
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import piezobeam
 from oracles import continuous_eigenvalues, modal_energy, static_gain
 from piezobeam.analysis import (
     error_bound_curve,
@@ -374,20 +379,47 @@ def test_criterion_10_placement_insensitivity():
 # 11. determinism
 # ---------------------------------------------------------------------------
 
+# one child process: tune, simulate and bounds on each preset named in
+# argv, through the CLI, into ./out; the exit codes go to stdout too
+RERUN_CHILD = """
+import sys
+from piezobeam.cli import main
+for config in sys.argv[1:]:
+    for command in ("tune", "simulate", "bounds"):
+        code = main([command, "--config", config, "--out", "out"])
+        print(f"{command} {config}: exit {code}")
+"""
+
+
 def test_criterion_11_determinism(tmp_path):
+    # the artifact contract: the same code, config, seeds and BLAS thread
+    # count give the same bytes.  Two processes with one environment (so
+    # one BLAS thread count) each run every preset; t_final 2.5 still
+    # reaches the steady window that simulate's metrics need
     import yaml
-    cfg = {"preset": "fig1",
-           "sim": {"t_final": 2.5, "dt": 5e-4, "residual_modes": 3}}
-    path = tmp_path / "det.yaml"
-    path.write_text(yaml.safe_dump(cfg))
-    outs = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        assert main(["simulate", "--config", str(path), "--out", str(out),
-                     "--seed", "123"]) == 0
-        assert main(["tune", "--config", str(path), "--out", str(out)]) == 0
-        outs.append(out)
-    a, b = outs
-    for name in ("fig1_timeseries.csv", "fig1_gains.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-    report(11, "determinism", "timeseries and gains CSVs byte-identical")
+    configs = []
+    for i in range(1, 8):
+        path = tmp_path / f"fig{i}.yaml"
+        path.write_text(yaml.safe_dump({"preset": f"fig{i}",
+                                        "sim": {"t_final": 2.5}}))
+        configs.append(str(path))
+    src = str(Path(piezobeam.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = []
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", RERUN_CHILD, *configs], cwd=tmp_path / side,
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    (out_a, err_a), (out_b, err_b) = (run.communicate(timeout=300)
+                                      for run in runs)
+    assert [run.returncode for run in runs] == [0, 0], err_a + err_b
+    assert out_a.decode().count(": exit 0\n") == 21, out_a
+    assert out_a == out_b and err_a == err_b == b""
+    a, b = (sorted((tmp_path / side / "out").iterdir()) for side in "ab")
+    assert [p.name for p in a] == [p.name for p in b] and len(a) == 28
+    for x, y in zip(a, b):
+        assert x.read_bytes() == y.read_bytes(), x.name
+    report(11, "determinism", "every preset's tune, simulate and bounds "
+           "CSVs and stdout byte-identical across two processes")
