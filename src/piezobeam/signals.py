@@ -4,11 +4,11 @@ The distributed load is represented by its modal coefficients f_n(t), each a
 finite cosine sum with a declared amplitude bound.  The resonant forcings
 (polyharmonic comb, tail load) are tuned by ``modal.resonant_frequencies``
 under the beam's damping model.  ``modal_force`` evaluates f_n at arbitrary
-times, term by term; ``cosine_sum_grid`` evaluates a cosine sum on a whole
-uniform grid t_i = i h by angle addition, with O(sqrt(count)) cos/sin calls
-per harmonic instead of one per sample.  Measurement noise is any bounded
-deterministic-under-seed waveform; the default is a seeded uniform-random
-value held constant over short intervals (``noise_samples``).
+times, term by term; ``cosine_sum_grid`` evaluates a cosine sum on a
+uniform grid t_i = (offset + i) h by angle addition, with O(sqrt(count))
+cos/sin calls per harmonic instead of one per sample.  Measurement noise is
+any bounded deterministic-under-seed waveform; the default is a seeded
+uniform-random value held constant over short intervals (``noise_samples``).
 """
 
 import math
@@ -159,17 +159,18 @@ def modal_force(spec, n, t):
     return total if total.ndim else float(total)
 
 
-def cosine_sum_grid(harmonics, h, count):
-    """sum_j a_j cos(w_j t_i + p_j) on the grid t_i = i h, i < count.
+def cosine_sum_grid(harmonics, h, count, offset=0):
+    """sum_j a_j cos(w_j t_i + p_j) on the grid t_i = (offset + i) h,
+    i < count.
 
     ``harmonics`` holds (a_j, w_j, p_j) triples.  With i = q B + r and
     B ~ sqrt(count), angle addition splits every term into a coarse angle
-    at q B h and a fine one at r h:
+    at (offset + q B) h and a fine one at r h:
 
         sum_j a_j cos(w_j t_i + p_j)
             = sum_j [a_j cos(c_qj), -a_j sin(c_qj)] . [cos(w_j r h), sin(w_j r h)]
 
-    with c_qj = w_j q B h + p_j, so the whole grid is one
+    with c_qj = w_j (offset + q B) h + p_j, so the whole grid is one
     (Q x 2H) @ (2H x B) product over O(sqrt(count) H) cos/sin calls.  The
     angles are rounded as in a pointwise evaluation, about eps w t each.
     """
@@ -178,7 +179,7 @@ def cosine_sum_grid(harmonics, h, count):
         return np.zeros(count)
     B = math.isqrt(count)
     Q = -(-count // B)
-    coarse = np.outer(B * np.arange(Q) * h, om) + ph
+    coarse = np.outer((offset + B * np.arange(Q)) * h, om) + ph
     fine = np.outer(om, np.arange(B) * h)
     table = np.hstack([a * np.cos(coarse), -a * np.sin(coarse)]) @ \
         np.vstack([np.cos(fine), np.sin(fine)])

@@ -46,12 +46,15 @@ closed form on the states they keep, all modes in one batch; their
 phasors e^(i j dt om) also come by angle addition, as a coarse times a
 fine factor with the fine length fixed at F = sqrt(CHUNK_ROWS).
 
-Once every state of the history is found finite, V, y and the norms of
-e, z and z_res are filled in CHUNK_ROWS-row blocks into the columns of
-one (n + 1) x 6 table in the CSV's column order (``TIMESERIES``), each by
-the whole-array expressions: no full-length temporary and no z_hat history
-is kept.  Both finiteness tests take one block at a time and locate the
-row only in a block that fails.
+``simulate`` keeps no state history: it runs the horizon in consecutive
+segments of CHUNK_ROWS steps through one segment buffer.  Each segment
+synthesizes its own half-step channel rows, runs ``RK4.run`` from the
+previous segment's last state (so segments share their edge row), tests
+its states for finiteness, and writes t, V, y and the norms of e, z and
+z_res straight into one (n + 1) x 6 table in the CSV's column order
+(``TIMESERIES``), each by the whole-segment expressions.  The table is the
+only array whose length grows with the horizon.  Both finiteness tests
+take a whole segment at once and locate the row only in one that fails.
 
 Artifact contract: the same code, config, seeds and BLAS thread count give
 the same bytes; across versions the outputs agree within the benchmark's
@@ -60,12 +63,15 @@ the same bytes; across versions the outputs agree within the benchmark's
 Only the states that X(0) and the forcing reach through the nonzeros of M
 are stepped.  That set is closed under M, so RK4 on its sub-block of M is
 exact, and the rest (an undriven residual mode at rest, under truncated
-coupling) stay 0.0.  The spectrum, cap, dt and history limit use all of M.
+coupling) stay 0.0 and drop out of V, y and the norms.  The spectrum, cap,
+dt and history limit use all of M.
 
 An unstable M (max Re eig(M) >= 0) is refused before stepping when dt is
 unset; with dt given it is integrated, and a non-finite state ends the
 run with a DivergenceError.  So does a derived series that overflows
-while the state stays finite (a norm squares states above 1e154).
+while the state stays finite (a norm squares states above 1e154), once
+every state of the run is found finite: a non-finite state wins, even one
+in a later segment.
 """
 
 import math
@@ -84,9 +90,9 @@ from .signals import modal_force  # noqa: F401
 DT_REAL_FACTOR = 0.1      # dt <= 0.1 / max |Re lambda|
 DT_IMAG_FACTOR = 2 * math.pi / 20.0  # >= 20 steps per fastest period
 
-# Rows per chunk when assembling forcing, checking finiteness, deriving the
-# output series and evaluating residual-mode states: bounds the temporaries
-# whatever the horizon.
+# Steps per segment of a coupled run (its states, channel rows and derived
+# rows) and rows per chunk of the residual-mode states: bounds the
+# temporaries whatever the horizon.
 CHUNK_ROWS = 1 << 14
 
 # Fine length F of the residual-mode phasor tables (``_phasors``): fixed,
@@ -94,8 +100,9 @@ CHUNK_ROWS = 1 << 14
 # pass it lands in.
 PHASOR_FINE = math.isqrt(CHUNK_ROWS)
 
-# Most states (n + 1) x dim of one run: 128 MiB of floats, above 192k steps
-# at dim 22 and 40k steps at dim 200.
+# Most state values (n + 1) x dim one run steps through: a limit on run
+# length (no history is kept), above 192k steps at dim 22 and 40k steps at
+# dim 200.
 MAX_HISTORY_VALUES = 1 << 24
 
 # The series of a run's timeseries table, in its (and the CSV's) column order.
@@ -141,22 +148,18 @@ class SimConfig:
 
 @dataclass
 class SimulationResult:
-    """Trajectories on the time grid plus derived histories.
+    """The series of a run on its time grid; no state history is kept.
 
-    z, e and residual are the integrated state (z, e, z_res); z_hat is not
-    stored but derived as z - e on each access.  ``timeseries`` is the
-    C-contiguous (n+1) x 6 table of the TIMESERIES series, and t, V, y and
-    the three norms are views of its columns.  Norms are Euclidean norms
-    of the stacked modal coefficient vectors.  force_sup is the sup over
-    the grid of the retained modal force vector norm a2 ||(f_1..f_N)||.
-    noise is the spec as run, with its hold resolved.
+    ``timeseries`` is the C-contiguous (n+1) x 6 table of the TIMESERIES
+    series, and t, V, y and the three norms are views of its columns.
+    Norms are Euclidean norms of the stacked modal coefficient vectors of
+    e, z and z_res.  force_sup is the sup over the grid of the retained
+    modal force vector norm a2 ||(f_1..f_N)||.  noise is the spec as run,
+    with its hold resolved.
     """
 
     timeseries: np.ndarray
     t: np.ndarray
-    z: np.ndarray
-    e: np.ndarray
-    residual: np.ndarray
     V: np.ndarray
     y: np.ndarray
     norm_e: np.ndarray
@@ -169,10 +172,6 @@ class SimulationResult:
     disturbance: object
     noise: object
     config: SimConfig
-
-    @property
-    def z_hat(self):
-        return self.z - self.e
 
 
 def stability_cap(spectrum):
@@ -190,7 +189,7 @@ def stability_cap(spectrum):
 def _step_count(t_final, dt, dim):
     """Steps over [0, t_final]: round(t_final / dt), at least 1 unless
     t_final = 0.  Refused before any allocation when the run's (n + 1) x dim
-    states would exceed MAX_HISTORY_VALUES."""
+    state values would exceed MAX_HISTORY_VALUES."""
     steps = t_final / dt                 # inf when it overflows
     n = 0 if t_final == 0.0 else max(1, round(min(steps, MAX_HISTORY_VALUES)))
     if (n + 1) * dim > MAX_HISTORY_VALUES:
@@ -433,18 +432,6 @@ class CoupledDynamics:
         return x
 
 
-def _states(X, live, lo, hi):
-    """History of states lo..hi-1 from the history X of the ``live`` states:
-    a view of X when all are reached, else zeros with the reached columns
-    copied in."""
-    a, b = np.searchsorted(live, [lo, hi])
-    if b - a == hi - lo:
-        return X[:, a:b]
-    out = np.zeros((len(X), hi - lo))
-    out[:, live[a:b] - lo] = X[:, a:b]
-    return out
-
-
 def row_norms(x):
     """Euclidean norm of each row of a 2-D float array, with no
     temporary the size of x."""
@@ -460,71 +447,76 @@ def _first_nonfinite(rows):
 
 
 def simulate(system, gains, disturbance, noise, config):
-    """Integrate the coupled system over [0, t_final] and collect histories;
-    states outside ``CoupledDynamics.live`` come back as exact zeros.
+    """Integrate the coupled system over [0, t_final] into its timeseries
+    table, one segment of at most CHUNK_ROWS steps at a time.
 
     Raises DivergenceError at the first step with a non-finite state; with
     every state finite, at the first step where V, y or a norm overflowed,
     naming those series.
     """
     dyn = CoupledDynamics(system, gains, disturbance, noise, config)
-    N, dt, live = dyn.N, dyn.dt, dyn.live
-
+    N, dt, live, h = dyn.N, dyn.dt, dyn.live, dyn.dt / 2.0
     n_steps = _step_count(config.t_final, dt, dyn.dim)
-    X = np.empty((n_steps + 1, live.size))
+
+    # the live columns of z, e and z_res; unreached states are 0 and drop
+    # out of V, y and the norms
+    z, e, res = (slice(*np.searchsorted(live, ends)) for ends in
+                 ((0, 2 * N), (2 * N, 4 * N), (4 * N, dyn.dim)))
+    K_z, K_e = dyn.K[live[z]], dyn.K[live[e] - 2 * N]
+    C_z, C_res = system.C[live[z]], dyn.block.C[live[res] - 4 * N]
+
+    # one segment's states from its first, and its half-step channel rows
+    # (stage times of step i are 2i, 2i+1, 2i+2, so t[i] is row 2i)
+    S = min(CHUNK_ROWS, n_steps)
+    X = np.empty((S + 1, live.size))
     X[0] = dyn.x0[live]
-
-    # channel values on the half-step grid: stage times of step i are
-    # 2i, 2i+1, 2i+2, so t[i] == half_times[2i]
-    count = 2 * n_steps + 1
-    c = np.empty((count, len(dyn.channels) + 1))
-    for j, hs in enumerate(dyn.channels):
-        c[:, j] = cosine_sum_grid(hs, dt / 2.0, count)
-    c[:, -1] = noise_samples(dyn.noise, np.arange(count) * (dt / 2.0))
-    dyn.rk4.run(X, c)
-    xi = c[::2, -1].copy()   # the noise channel
-    # the retained modes' forces, gathered from their channels by chunks
-    force_sup = system.params.a2 * float(np.max([
-        np.max(row_norms(c[2 * i0 : 2 * (i0 + CHUNK_ROWS) : 2,
-                           dyn.retained_channels]))
-        for i0 in range(0, n_steps + 1, CHUNK_ROWS)]))
-    del c                    # freed before the post-processing temporaries
-    for i0 in range(1, n_steps + 1, CHUNK_ROWS):
-        k = _first_nonfinite(X[i0 : i0 + CHUNK_ROWS])
-        if k is not None:
-            step = i0 + k                      # row i is the state at step i
-            raise DivergenceError(step, step * dt)
-
-    z = _states(X, live, 0, 2 * N)
-    e = _states(X, live, 2 * N, 4 * N)
-    res = _states(X, live, 4 * N, dyn.dim)
-    a, b = np.searchsorted(live, [4 * N, dyn.dim])   # reached residual states
-    X_res, C_res = X[:, a:b], dyn.block.C[live[a:b] - 4 * N]
+    c = np.empty((2 * S + 1, len(dyn.channels) + 1))
     table = np.empty((n_steps + 1, len(TIMESERIES)))
-    t, norm_e, norm_z, V, y, norm_res = table.T
-    t[:] = np.arange(n_steps + 1) * dt
-    # A finite state can still overflow V, y or a norm (a norm squares it),
-    # which ends the run like a non-finite state.
-    for i0 in range(0, n_steps + 1, CHUNK_ROWS):
-        s = slice(i0, i0 + CHUNK_ROWS)
-        with np.errstate(over="ignore", invalid="ignore"):
-            V[s] = e[s] @ dyn.K - z[s] @ dyn.K
-            y[s] = z[s] @ system.C + X_res[s] @ C_res + xi[s]
-            norm_e[s] = row_norms(e[s])
-            norm_z[s] = row_norms(z[s])
-            norm_res[s] = row_norms(X_res[s])
-        k = _first_nonfinite(table[s, 1:])
+    force_sup, overflow = 0.0, None
+    for i0 in range(0, max(n_steps, 1), CHUNK_ROWS):
+        m = min(CHUNK_ROWS, n_steps - i0)   # steps i0..i0 + m - 1
+        if i0:
+            X[0] = X[-1]          # the last state of the whole segment before
+        Xs, cs = X[: m + 1], c[: 2 * m + 1]
+        for j, hs in enumerate(dyn.channels):
+            cs[:, j] = cosine_sum_grid(hs, h, 2 * m + 1, 2 * i0)
+        cs[:, -1] = noise_samples(dyn.noise,
+                                  (2 * i0 + np.arange(2 * m + 1)) * h)
+        dyn.rk4.run(Xs, cs)
+        k = _first_nonfinite(Xs[1:])
         if k is not None:
-            step = i0 + k
-            finite = np.isfinite(table[step, 1:])
-            raise DivergenceError(step, step * dt, ", ".join(
-                name for name, ok in zip(TIMESERIES[1:], finite) if not ok))
+            step = i0 + 1 + k                  # row i is the state at step i
+            raise DivergenceError(step, step * dt)
+        # rows i0..i0 + m; row i0 repeats the last of the segment before
+        rows = table[i0 : i0 + m + 1]
+        t, norm_e, norm_z, V, y, norm_res = rows.T
+        t[:] = np.arange(i0, i0 + m + 1) * dt
+        # A finite state can still overflow V, y or a norm (a norm squares
+        # it), which ends the run like a non-finite state, but only once no
+        # later state is non-finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            V[:] = Xs[:, e] @ K_e - Xs[:, z] @ K_z
+            y[:] = Xs[:, z] @ C_z + Xs[:, res] @ C_res + cs[::2, -1]
+            norm_e[:] = row_norms(Xs[:, e])
+            norm_z[:] = row_norms(Xs[:, z])
+            norm_res[:] = row_norms(Xs[:, res])
+        if overflow is None:
+            k = _first_nonfinite(rows[:, 1:])
+            overflow = None if k is None else i0 + k
+        # the retained modes' forces, gathered from their channels
+        force_sup = max(force_sup, float(np.max(
+            row_norms(cs[::2, dyn.retained_channels]))))
+    if overflow is not None:
+        finite = np.isfinite(table[overflow, 1:])
+        raise DivergenceError(overflow, overflow * dt, ", ".join(
+            name for name, ok in zip(TIMESERIES[1:], finite) if not ok))
 
+    t, norm_e, norm_z, V, y, norm_res = table.T
     return SimulationResult(
-        timeseries=table, t=t, z=z, e=e, residual=res, V=V, y=y,
+        timeseries=table, t=t, V=V, y=y,
         norm_e=norm_e, norm_z=norm_z, norm_residual=norm_res,
-        force_sup=force_sup, dt=dt, system=system, gains=gains,
-        disturbance=disturbance, noise=dyn.noise, config=config,
+        force_sup=system.params.a2 * force_sup, dt=dt, system=system,
+        gains=gains, disturbance=disturbance, noise=dyn.noise, config=config,
     )
 
 

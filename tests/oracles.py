@@ -7,16 +7,20 @@ assembled spectrum and acceptance criterion 1), the static modal gain
 (for the steady response to a constant force), and the modal energy and
 its dissipation rate (for the energy checks on simulated plant states),
 the held noise hashed sample by sample (for ``signals.noise_samples``,
-which hashes each hold interval once), and the backward residual of a
-placed gain (for ``synthesis.place_poles`` and ``place_observer_poles``).
+which hashes each hold interval once), the backward residual of a
+placed gain (for ``synthesis.place_poles`` and ``place_observer_poles``),
+and a run's whole state history (for ``simulate``, which keeps none).
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from piezobeam.beam import SQRT2, cos_pi, sin_pi
 from piezobeam.modal import DampingModel
+from piezobeam.signals import cosine_sum_grid, noise_samples
+from piezobeam.simulate import CoupledDynamics, _step_count
 
 
 def mode_shape(n, x):
@@ -115,3 +119,56 @@ def placement_residual(A, left, right, targets):
                                (mu * r2 - s4 * r1) / p], axis=1)
     return float(np.max(np.abs(1.0 + t.sum(axis=1))
                         / (1.0 + np.abs(t).sum(axis=1))))
+
+
+@dataclass
+class History:
+    """The states z, e and z_res of a run on its time grid t, every one of
+    its 4N + 2R states (unreached ones 0), with the noise xi(t_i) and the
+    weights K, C and C_res of V and y."""
+
+    t: np.ndarray
+    z: np.ndarray
+    e: np.ndarray
+    residual: np.ndarray
+    xi: np.ndarray
+    K: np.ndarray
+    C: np.ndarray
+    C_res: np.ndarray
+
+    @property
+    def z_hat(self):
+        return self.z - self.e
+
+    def timeseries(self):
+        """The run's (n + 1) x 6 table in ``simulate.TIMESERIES`` order by
+        the textbook formulas: V = -K z_hat, y = C z + C_res z_res + xi."""
+        norm = np.linalg.norm
+        return np.column_stack([
+            self.t, norm(self.e, axis=1), norm(self.z, axis=1),
+            -self.z_hat @ self.K,
+            self.z @ self.C + self.residual @ self.C_res + self.xi,
+            norm(self.residual, axis=1)])
+
+
+def history(system, gains, disturbance, noise, config):
+    """The whole state history of ``simulate``'s run, as the simulator
+    computed it before it kept none: ``CoupledDynamics``, the channels on
+    the whole half-step grid, and one ``RK4.run`` over the horizon on the
+    live states.  Overflow is left in the history as non-finite rows."""
+    dyn = CoupledDynamics(system, gains, disturbance, noise, config)
+    n, h, N = _step_count(config.t_final, dyn.dt, dyn.dim), dyn.dt / 2, dyn.N
+    c = np.empty((2 * n + 1, len(dyn.channels) + 1))
+    for j, hs in enumerate(dyn.channels):
+        c[:, j] = cosine_sum_grid(hs, h, 2 * n + 1)
+    c[:, -1] = noise_samples(dyn.noise, np.arange(2 * n + 1) * h)
+    X = np.empty((n + 1, dyn.live.size))
+    X[0] = dyn.x0[dyn.live]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dyn.rk4.run(X, c)
+    full = np.zeros((n + 1, dyn.dim))
+    full[:, dyn.live] = X
+    return History(t=np.arange(n + 1) * dyn.dt, z=full[:, : 2 * N],
+                   e=full[:, 2 * N : 4 * N], residual=full[:, 4 * N :],
+                   xi=c[::2, -1].copy(), K=dyn.K, C=system.C,
+                   C_res=dyn.block.C)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import importlib
 import itertools
@@ -9,10 +10,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dissipation, modal_energy, static_gain
+from oracles import dissipation, history, modal_energy, static_gain
 from piezobeam.beam import BeamParams
 from piezobeam.config import resolve_config
 from piezobeam.errors import ConfigError, DivergenceError, UnstableMatrixError
@@ -73,12 +74,13 @@ def test_equilibrium_stays_zero():
     system = assemble(PARAMS, 2, PATCH)
     cfg = SimConfig(t_final=1.0, residual_modes=2,
                     z0=np.zeros(4), z_hat0=np.zeros(4))
-    res = simulate(system, None, NO_FORCE, NO_NOISE, cfg)
-    assert np.all(res.z == 0.0)
-    assert np.all(res.z_hat == 0.0)
-    assert np.all(res.residual == 0.0)
-    assert np.all(res.V == 0.0)
-    assert np.all(res.y == 0.0)
+    args = (system, None, NO_FORCE, NO_NOISE, cfg)
+    h = history(*args)
+    assert np.all(h.z == 0.0)
+    assert np.all(h.z_hat == 0.0)
+    assert np.all(h.residual == 0.0)
+    res = simulate(*args)
+    assert np.all(res.timeseries[:, 1:] == 0.0)     # the norms, V and y
 
 
 def test_zero_horizon_keeps_initial_state():
@@ -87,30 +89,36 @@ def test_zero_horizon_keeps_initial_state():
     cfg = SimConfig(t_final=0.0, z0=z0)
     res = simulate(system, None, NO_FORCE, NO_NOISE, cfg)
     assert res.t.shape == (1,)
-    np.testing.assert_array_equal(res.z[0], z0)
-    np.testing.assert_array_equal(res.e[0], z0)
+    assert res.norm_z[0] == res.norm_e[0] == row_norms(z0[None])[0]
+    h = history(system, None, NO_FORCE, NO_NOISE, cfg)
+    np.testing.assert_array_equal(h.z[0], z0)
+    np.testing.assert_array_equal(h.e[0], z0)
 
 
 def test_default_initial_state_is_seeded_unit_vector():
     system = assemble(PARAMS, 3, PATCH)
-    cfg = SimConfig(t_final=0.0, seed=7)
-    res = simulate(system, None, NO_FORCE, NO_NOISE, cfg)
-    assert np.linalg.norm(res.z[0]) == pytest.approx(1.0, rel=1e-12)
-    res2 = simulate(system, None, NO_FORCE, NO_NOISE,
-                    SimConfig(t_final=0.0, seed=7))
-    np.testing.assert_array_equal(res.z[0], res2.z[0])
-    res3 = simulate(system, None, NO_FORCE, NO_NOISE,
-                    SimConfig(t_final=0.0, seed=8))
-    assert not np.array_equal(res.z[0], res3.z[0])
+
+    def z0(seed):
+        return history(system, None, NO_FORCE, NO_NOISE,
+                       SimConfig(t_final=0.0, seed=seed)).z[0]
+
+    res = simulate(system, None, NO_FORCE, NO_NOISE,
+                   SimConfig(t_final=0.0, seed=7))
+    assert res.norm_z[0] == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(z0(7)) == pytest.approx(1.0, rel=1e-12)
+    np.testing.assert_array_equal(z0(7), z0(7))
+    assert not np.array_equal(z0(7), z0(8))
 
 
 def test_dc_gain_single_mode():
-    # constant unit force, no control: w_1 -> a2 / sigma_1^4 within 0.1%
+    # constant unit force, no control: w_1 -> a2 / sigma_1^4 within 0.1%,
+    # and ||z|| with it, as w_1' -> 0
     system = assemble(PARAMS, 1, PATCH)
     cfg = SimConfig(t_final=170.0, z0=np.zeros(2), z_hat0=np.zeros(2))
-    res = simulate(system, None, constant_disturbance([1.0]), NO_NOISE, cfg)
+    args = (system, None, constant_disturbance([1.0]), NO_NOISE, cfg)
     expect = static_gain(PARAMS, 1)
-    assert res.z[-1, 0] == pytest.approx(expect, rel=1e-3)
+    assert history(*args).z[-1, 0] == pytest.approx(expect, rel=1e-3)
+    assert simulate(*args).norm_z[-1] == pytest.approx(expect, rel=1e-3)
 
 
 def channel_values(dyn, times):
@@ -172,6 +180,23 @@ def test_step_matches_textbook_rk4():
                                rtol=1e-12, atol=1e-12)
 
 
+# simulate's table against the whole-history oracle's, per column: within
+# TABLE_TOL of the column's largest |value|.  A run over several segments
+# synthesizes its channels at other angle-addition splits (each angle rounds
+# by about eps w t) and takes other RK4.run blocks, so the last digits move
+# (at most 6.7e-14 on the presets and the benchmark's runs, in sim_wide's
+# y); a run of one segment steps the oracle's states bit for bit.
+TABLE_TOL = 1e-12
+
+
+def assert_table_matches(res, h, tol=TABLE_TOL):
+    want = h.timeseries()
+    assert res.timeseries.shape == want.shape
+    for name, got, col in zip(TIMESERIES, res.timeseries.T, want.T):
+        np.testing.assert_allclose(got, col, rtol=0, err_msg=name,
+                                   atol=tol * np.max(np.abs(col)))
+
+
 def block_size(n, d):
     """The scan's block length for n steps of d states: b ~ sqrt(n / 2),
     but at most 2n / 3d."""
@@ -192,8 +217,8 @@ def test_simulate_matches_sequential_steps(n):
     noise = NoiseSpec(bound=0.01, seed=11, hold=0.0104719755)
     dt = 2.5e-4
     cfg = SimConfig(t_final=n * dt, dt=dt, residual_modes=2, seed=3)
-    res = simulate(system, gains, dist, noise, cfg)
-    X = np.concatenate([res.z, res.e, res.residual], axis=1)
+    h = history(system, gains, dist, noise, cfg)
+    X = np.concatenate([h.z, h.e, h.residual], axis=1)
     assert X.shape == (n + 1, 12)
 
     dyn = CoupledDynamics(system, gains, dist, noise, cfg)
@@ -204,18 +229,29 @@ def test_simulate_matches_sequential_steps(n):
     np.testing.assert_array_equal(X[0], expect[0])
     np.testing.assert_allclose(X, expect, rtol=0,
                                atol=1e-11 * np.max(np.abs(expect)))
+    # and simulate's table is the table of those states
+    looped = replace(h, z=expect[:, :4], e=expect[:, 4:8],
+                     residual=expect[:, 8:])
+    assert_table_matches(simulate(system, gains, dist, noise, cfg), looped,
+                         tol=1e-11)
 
 
 def test_stored_error_identity():
+    # V = -K z_hat from the stepped error e = z - z_hat: e K - z K rounds
+    # within a few eps of the sizes of its two terms
     system = assemble(PARAMS, 2, PATCH)
+    gains = fig_gains(system)
     cfg = SimConfig(t_final=0.5, residual_modes=1, seed=5)
-    res = simulate(system, fig_gains(system),
-                   polyharmonic_disturbance(PARAMS, driven_modes=2),
-                   NoiseSpec(bound=0.01, seed=4, hold=0.01), cfg)
-    np.testing.assert_array_equal(res.z_hat, res.z - res.e)
-    assert np.all(np.isfinite(res.z))
-    np.testing.assert_allclose(res.norm_e, np.linalg.norm(res.e, axis=1),
-                               rtol=4 * np.finfo(float).eps, atol=0)
+    args = (system, gains, polyharmonic_disturbance(PARAMS, driven_modes=2),
+            NoiseSpec(bound=0.01, seed=4, hold=0.01), cfg)
+    res, h = simulate(*args), history(*args)
+    assert np.all(np.isfinite(h.z))
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(
+        res.V, -h.z_hat @ gains.K, rtol=0,
+        atol=4 * eps * np.max((np.abs(h.z) + np.abs(h.e)) @ np.abs(gains.K)))
+    np.testing.assert_allclose(res.norm_e, np.linalg.norm(h.e, axis=1),
+                               rtol=4 * eps, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +302,8 @@ def test_reached_states_match_the_full_state_run(data, reached):
     dyn = CoupledDynamics(system, gains, dist, config.noise, cfg)
     assert dyn.live.size == reached
 
-    X = np.concatenate([res.z, res.e, res.residual], axis=1)
+    h = history(system, gains, dist, config.noise, cfg)
+    X = np.concatenate([h.z, h.e, h.residual], axis=1)
     expect = full_state_run(dyn, cfg, len(res.t) - 1)
     np.testing.assert_allclose(X, expect, rtol=0,
                                atol=1e-11 * np.max(np.abs(expect)))
@@ -439,7 +476,12 @@ def test_history_limit_counts_every_state():
 
 
 def test_wide_run_keeps_only_the_reached_history():
-    config, system, gains = built(with_sim(WIDE, t_final=0.01))
+    # 40,213 steps, three segments: the peak is the six-column table and
+    # one segment's CHUNK_ROWS rows of the 80 reached states plus 24 words
+    # (its two channels on two half steps, the noise synthesis, the RK4
+    # stage table and the post-processing temporaries; 18 are seen); no
+    # history of the 80 (or of all 200) states
+    config, system, gains = built(with_sim(WIDE, t_final=0.1))
     tracemalloc.start()
     try:
         res = simulate(system, gains, config.disturbance, config.noise,
@@ -447,11 +489,10 @@ def test_wide_run_keeps_only_the_reached_history():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # in columns of the history: 80 reached states, the 120 all-zero
-    # residual states and about 130 of post-processing temporaries; a
-    # 200-state history adds 120 more (about 420 in all)
-    assert np.all(res.residual == 0.0)
-    assert peak < 375 * 8 * len(res.t), peak / (8 * len(res.t))
+    assert len(res.t) > 2 * CHUNK_ROWS + 1
+    assert np.all(res.norm_residual == 0.0)       # the 120 unreached states
+    budget = 8 * (6 * len(res.t) + (80 + 24) * CHUNK_ROWS)
+    assert peak < budget, (peak - 48 * len(res.t)) / (8 * CHUNK_ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +625,7 @@ def test_one_force_table_per_distinct_harmonic_set(monkeypatch, kind, sizes):
     res = simulate(*args)
     assert calls == sizes   # harmonics per synthesized table
     assert CoupledDynamics(*args).G.shape[1] == len(sizes) + 1
-    assert np.all(np.isfinite(res.z))
+    assert np.all(np.isfinite(res.timeseries))
 
 
 def test_rk4_order_from_step_halving():
@@ -594,8 +635,8 @@ def test_rk4_order_from_step_halving():
     ends = {}
     for dt in (4e-4, 2e-4, 1e-4):
         cfg = SimConfig(t_final=0.4, dt=dt, seed=2)
-        res = simulate(system, gains, dist, NO_NOISE, cfg)
-        ends[dt] = np.concatenate([res.z[-1], res.z_hat[-1]])
+        h = history(system, gains, dist, NO_NOISE, cfg)
+        ends[dt] = np.concatenate([h.z[-1], h.z_hat[-1]])
     err_coarse = np.linalg.norm(ends[4e-4] - ends[2e-4])
     err_fine = np.linalg.norm(ends[2e-4] - ends[1e-4])
     assert err_coarse / err_fine >= 8.0
@@ -617,12 +658,12 @@ def homogeneous_run(gains, a1=0.01, N=3, T=6.0):
     params = BeamParams.dimensionless(a1=a1)
     system = assemble(params, N, PATCH)
     cfg = SimConfig(t_final=T, dt=half_cap(system, gains), seed=12)
-    return system, simulate(system, gains, NO_FORCE, NO_NOISE, cfg)
+    return system, history(system, gains, NO_FORCE, NO_NOISE, cfg)
 
 
 def test_open_loop_energy_non_increasing():
-    system, res = homogeneous_run(None)
-    E = modal_energy(system, res.z)
+    system, h = homogeneous_run(None)
+    E = modal_energy(system, h.z)
     assert np.all(np.diff(E) <= 1e-10)
 
 
@@ -630,10 +671,10 @@ def test_energy_dissipation_identity():
     # dE/dt = -sum d_n w_n'^2; needs a step fine against the w'^2 swing
     system = assemble(PARAMS, 3, PATCH)
     cfg = SimConfig(t_final=0.05, dt=2e-5, seed=12)
-    res = simulate(system, None, NO_FORCE, NO_NOISE, cfg)
-    E = modal_energy(system, res.z)
-    D = dissipation(system, res.z)
-    dE = np.diff(E) / res.dt
+    h = history(system, None, NO_FORCE, NO_NOISE, cfg)
+    E = modal_energy(system, h.z)
+    D = dissipation(system, h.z)
+    dE = np.diff(E) / cfg.dt
     D_mid = 0.5 * (D[1:] + D[:-1])
     np.testing.assert_allclose(dE, -D_mid, rtol=2e-2,
                                atol=1e-4 * np.max(np.abs(D)))
@@ -647,15 +688,16 @@ def test_observer_in_loop_keeps_plant_dissipative():
                              radial_pole_targets(system.A, 34.0))
     gains = GainSet.from_matrices(system, np.zeros(6), L)
     cfg = SimConfig(t_final=6.0, seed=12)
-    res = simulate(system, gains, NO_FORCE, NO_NOISE, cfg)
-    E = modal_energy(system, res.z)
+    E = modal_energy(system, history(system, gains, NO_FORCE, NO_NOISE,
+                                     cfg).z)
     assert np.all(np.diff(E) <= 1e-10)
+    res = simulate(system, gains, NO_FORCE, NO_NOISE, cfg)
     assert np.all(res.V == 0.0)
 
 
 def test_undamped_energy_conserved_to_integrator_error():
-    system, res = homogeneous_run(None, a1=0.0, T=2.0)
-    E = modal_energy(system, res.z)
+    system, h = homogeneous_run(None, a1=0.0, T=2.0)
+    E = modal_energy(system, h.z)
     assert np.all(np.diff(E) <= 1e-10)   # RK4 is dissipative on i R
     assert E[-1] >= 0.999 * E[0]
 
@@ -744,27 +786,41 @@ def test_divergence_step_matches_sequential_oracle():
     assert abs(err.value.step - first_bad) <= block_size(n_steps,
                                                          dyn.live.size)
     assert err.value.time == err.value.step * dt
-    # exactly the first non-finite row of the history: the finiteness scan
+    # exactly the first non-finite row of the history: the finiteness test
     # runs before any derived series could warn on the huge rows before it
-    X = np.empty((n_steps + 1, dyn.live.size))
-    X[0] = dyn.x0[dyn.live]
-    dyn.rk4.run(X, np.zeros((2 * n_steps + 1, dyn.G.shape[1])))
-    assert err.value.step == np.argmin(np.isfinite(X).all(axis=1))
+    h = history(system, bad, NO_FORCE, NO_NOISE, cfg)
+    assert err.value.step == first_nonfinite_row(h.z, h.e, h.residual)
 
 
-def test_derived_series_are_the_whole_array_formulas_bit_for_bit():
-    # more than two CHUNK_ROWS blocks, dt given: the blocked pass gives
+def test_derived_series_are_the_whole_array_formulas_bit_for_bit(
+        monkeypatch):
+    # three segments, dt given: on the states the segments stepped (each
+    # starting from the last of the one before), the per-segment pass gives
     # each row the bits of the whole-array expression
+    sim = importlib.import_module("piezobeam.simulate")
+    run, segments = sim.RK4.run, []
+
+    def recording_run(self, X, c):
+        out = run(self, X, c)
+        segments.append(X.copy())
+        return out
+
+    monkeypatch.setattr(sim.RK4, "run", recording_run)
     config, system, gains = built(with_sim(FIG1, t_final=9.0, dt=2.5e-4))
     res = simulate(system, gains, config.disturbance, config.noise,
                    config.sim)
     assert len(res.t) > 2 * CHUNK_ROWS + 1 and config.sim.z_hat0 is None
+    assert len(segments) == 3
+    for before, after in itertools.pairwise(segments):
+        assert after[0].tobytes() == before[-1].tobytes()
     dyn = CoupledDynamics(system, gains, config.disturbance, config.noise,
                           config.sim)
     N, live = dyn.N, dyn.live
-    z, e = res.z, res.e
+    X = np.zeros((len(res.t), dyn.dim))
+    X[:, live] = np.concatenate([segments[0]] + [x[1:] for x in segments[1:]])
+    z, e = X[:, : 2 * N], X[:, 2 * N : 4 * N]
     reached = live[live >= 4 * N] - 4 * N
-    X_res = res.residual[:, reached]
+    X_res = X[:, 4 * N :][:, reached]
     xi = noise_samples(res.noise, res.t)
     def norm(x):
         return np.sqrt(np.einsum("ij,ij->i", x, x))
@@ -775,18 +831,63 @@ def test_derived_series_are_the_whole_array_formulas_bit_for_bit():
     np.testing.assert_array_equal(res.norm_z, norm(z))
     np.testing.assert_array_equal(res.norm_residual, norm(X_res))
     assert math.copysign(1.0, res.V[0]) == 1.0      # z_hat(0) = 0: V = +0
-    np.testing.assert_array_equal(res.z_hat, z - e)
+
+
+@functools.cache
+def fig1_design():
+    return built({"preset": "fig1"})
+
+
+def test_table_is_the_history_oracles_table():
+    # the fig1 preset: 48,000 steps in three segments, against the table of
+    # one whole-horizon RK4 run by the textbook formulas (TABLE_TOL)
+    config, system, gains = fig1_design()
+    args = (system, gains, config.disturbance, config.noise, config.sim)
+    res = simulate(*args)
+    assert len(res.t) == 48001
+    assert_table_matches(res, history(*args))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@example(steps=2 * CHUNK_ROWS + 1, harmonics=[[(1.0, 0.2, -1.6)]],
+         residual_modes=2, seeds=(1, 2))       # the force peaks at t = 8
+@given(steps=st.sampled_from([0, 1, CHUNK_ROWS - 1, CHUNK_ROWS,
+                              CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]),
+       harmonics=st.lists(st.lists(st.tuples(
+           st.floats(0.1, 3.0), st.floats(0.0, 60.0),
+           st.floats(-math.pi, math.pi)), min_size=1, max_size=3),
+           max_size=6),
+       residual_modes=st.integers(0, 4),
+       seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+def test_table_matches_the_oracle_at_segment_edges(steps, harmonics,
+                                                   residual_modes, seeds):
+    """fig1's design over 0, 1, S - 1, S, S + 1 and 2S + 1 steps (S =
+    CHUNK_ROWS), under drawn forces on up to six modes (retained and
+    residual), noise and initial state: the table within TABLE_TOL of the
+    oracle's, and force_sup the sup of the forces on the time grid."""
+    config, system, gains = fig1_design()
+    dist = build_disturbance(harmonics)
+    cfg = replace(config.sim, t_final=steps * config.sim.dt,
+                  residual_modes=residual_modes, seed=seeds[1])
+    args = (system, gains, dist, replace(config.noise, seed=seeds[0]), cfg)
+    res = simulate(*args)
+    assert len(res.t) == steps + 1
+    assert_table_matches(res, history(*args))
+    forces = np.stack([modal_force(dist, n, res.t)
+                       for n in range(1, system.N + 1)])
+    assert res.force_sup == pytest.approx(
+        system.params.a2 * np.max(np.linalg.norm(forces, axis=0)),
+        rel=1e-12, abs=0)
 
 
 def test_result_keeps_no_full_length_temporaries():
-    # what a run leaves allocated: the reached history (z and e are views
-    # of it), the zero-filled residual states and six series (t, V, y and
-    # three norms); a stored z_hat history would add 2N words a row
+    # what a run leaves allocated: its table of six series (t, V, y and
+    # three norms), and no state history: a kept one would add its live
+    # states' words a row
     config, system, gains = built(with_sim(FIG1, t_final=4.0,
                                            residual_modes=5))
     args = (system, gains, config.disturbance, config.noise, config.sim)
     simulate(*args)                                  # warm-up
-    live = CoupledDynamics(*args).live.size
     gc.collect()
     tracemalloc.start()
     try:
@@ -794,8 +895,7 @@ def test_result_keeps_no_full_length_temporaries():
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    words = live + 2 * 5 + 6
-    assert kept <= 8 * len(res.t) * words + 64 * 1024, kept / (8 * len(res.t))
+    assert kept <= 8 * len(res.t) * 6 + 64 * 1024, kept / (8 * len(res.t))
 
 
 # ---------------------------------------------------------------------------
@@ -835,33 +935,39 @@ def test_closed_loop_matrix_structure_and_spectrum():
 # ---------------------------------------------------------------------------
 
 def residual_setup(coupling, gains_kind, dt=2.5e-4):
+    """The arguments of a run of 3 residual modes, all driven."""
     system = assemble(PARAMS, 3, PATCH)
     gains = fig_gains(system) if gains_kind == "tuned" else None
     dist = polyharmonic_disturbance(PARAMS, driven_modes=6, bound=11.0)
     cfg = SimConfig(t_final=0.5, dt=dt, residual_modes=3, coupling=coupling,
                     seed=7)
-    return simulate(system, gains, dist, NO_NOISE, cfg)
+    return system, gains, dist, NO_NOISE, cfg
 
 
 def test_truncation_mode_residual_identical_across_gains():
-    res_a = residual_setup(Coupling.TRUNCATED, "tuned")
-    res_b = residual_setup(Coupling.TRUNCATED, "none")
-    assert np.any(res_a.residual != 0.0)
-    np.testing.assert_array_equal(res_a.residual, res_b.residual)
+    args_a = residual_setup(Coupling.TRUNCATED, "tuned")
+    args_b = residual_setup(Coupling.TRUNCATED, "none")
+    res_a = history(*args_a).residual
+    assert np.any(res_a != 0.0)
+    np.testing.assert_array_equal(res_a, history(*args_b).residual)
+    np.testing.assert_array_equal(simulate(*args_a).norm_residual,
+                                  simulate(*args_b).norm_residual)
 
 
 def test_full_coupling_feels_the_controller():
     # the tuned full-coupling loop is unstable (max Re eig(M) = 2.71) with
     # cap 1.53e-4: both sides run below it, and 2.5e-4 is refused
-    res_trunc = residual_setup(Coupling.TRUNCATED, "tuned", dt=1e-4)
-    res_full = residual_setup(Coupling.FULL, "tuned", dt=1e-4)
-    assert not np.array_equal(res_trunc.residual, res_full.residual)
+    def residual(coupling, gains_kind, dt=1e-4):
+        return history(*residual_setup(coupling, gains_kind, dt)).residual
+
+    res_trunc = residual(Coupling.TRUNCATED, "tuned")
+    res_full = residual(Coupling.FULL, "tuned")
+    assert not np.array_equal(res_trunc, res_full)
     with pytest.raises(ConfigError):
-        residual_setup(Coupling.FULL, "tuned", dt=2.5e-4)
+        simulate(*residual_setup(Coupling.FULL, "tuned", dt=2.5e-4))
     # without control the two coupling modes coincide
-    res_trunc0 = residual_setup(Coupling.TRUNCATED, "none", dt=1e-4)
-    res_full0 = residual_setup(Coupling.FULL, "none", dt=1e-4)
-    np.testing.assert_array_equal(res_trunc0.residual, res_full0.residual)
+    np.testing.assert_array_equal(residual(Coupling.TRUNCATED, "none"),
+                                  residual(Coupling.FULL, "none"))
 
 
 def test_output_noise_is_the_noise_on_the_time_grid():
@@ -869,19 +975,21 @@ def test_output_noise_is_the_noise_on_the_time_grid():
     system = assemble(PARAMS, 2, PATCH)
     noise = NoiseSpec(bound=0.01, seed=4)   # hold resolved to 10 dt
     cfg = SimConfig(t_final=0.5, dt=2.5e-4, seed=5)
-    res = simulate(system, fig_gains(system), NO_FORCE, noise, cfg)
+    args = (system, fig_gains(system), NO_FORCE, noise, cfg)
+    res, h = simulate(*args), history(*args)
     xi = noise_samples(res.noise, res.t)
     assert len(np.unique(xi)) > 100
     np.testing.assert_array_equal(
-        res.y, res.z @ system.C + np.zeros(len(res.t)) + xi)
+        res.y, h.z @ system.C + np.zeros(len(res.t)) + xi)
 
 
 def test_measurement_spillover_enters_output():
-    res = residual_setup(Coupling.TRUNCATED, "none")
+    args = residual_setup(Coupling.TRUNCATED, "none")
+    res, h = simulate(*args), history(*args)
     from piezobeam.modal import residual_block
     block = residual_block(PARAMS, PATCH, 3, 3)
-    r = res.residual @ block.C
-    np.testing.assert_allclose(res.y, res.z @ res.system.C + r, rtol=0,
+    r = h.residual @ block.C
+    np.testing.assert_allclose(res.y, h.z @ res.system.C + r, rtol=0,
                                atol=1e-14)
 
 
@@ -1271,36 +1379,34 @@ def test_nonfinite_rows_at_block_edges_keep_their_step(monkeypatch, edge):
     # a diverging run: first its non-finite state, then, with the horizon
     # ending before it, the first step whose norm overflows from finite
     # states; each is reported at its own step when it sits first or last
-    # in a block of the finiteness tests
+    # in a segment.  And over the whole horizon with the overflow at an
+    # edge of an early segment, the non-finite state of a later segment
+    # wins.
     system = assemble(PARAMS, 2, PATCH)
     bad = unstable_gains(system)
     dt = half_cap(system, bad)
     cfg = SimConfig(t_final=10.0, dt=dt, seed=1)
-    dyn = CoupledDynamics(system, bad, NO_FORCE, NO_NOISE, cfg)
-    n = round(cfg.t_final / dt)
-    X = np.empty((n + 1, dyn.live.size))
-    X[0] = dyn.x0[dyn.live]
+    h = history(system, bad, NO_FORCE, NO_NOISE, cfg)
+    state_step = first_nonfinite_row(h.z, h.e, h.residual)
     with np.errstate(over="ignore", invalid="ignore"):
-        dyn.rk4.run(X, np.zeros((2 * n + 1, dyn.G.shape[1])))
-        state_step = first_nonfinite_row(X)
-        z, e = X[:, :4], X[:, 4:]
-        norm_step = first_nonfinite_row(
-            e @ bad.K - z @ bad.K, z @ system.C, np.linalg.norm(z, axis=1),
-            np.linalg.norm(e, axis=1))
+        table = h.timeseries()
+    norm_step = first_nonfinite_row(table[:, 1:])
     assert 2 < norm_step < state_step
     short = replace(cfg, t_final=(state_step - 1) * dt)
     sim_module = importlib.import_module("piezobeam.simulate")
-    # state blocks start at rows 1 + jC, derived blocks at rows jC
-    for run, step, chunk in ((cfg, state_step, state_step - 1),
-                             (short, norm_step, norm_step)):
+    # segment j of C steps steps from row jC to rows jC + 1 .. (j + 1) C:
+    # step s is the first of segment 1 at C = s - 1, the last of segment 0
+    # at C = s
+    # the negated observer gain makes e, and with K = 0 nothing else, grow
+    for run, step, what, at in ((short, norm_step, "norm_e", norm_step),
+                                (cfg, state_step, "state", norm_step),
+                                (cfg, state_step, "state", state_step)):
         monkeypatch.setattr(sim_module, "CHUNK_ROWS",
-                            chunk if edge == "first" else chunk + 1)
+                            at - 1 if edge == "first" else at)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as err:
                 simulate(system, bad, NO_FORCE, NO_NOISE, run)
         assert err.value.step == step
         assert err.value.time == step * dt
-    # the negated observer gain makes e, and with K = 0 nothing else, grow
-    assert err.value.what == "norm_e"
-    assert str(err.value).startswith("norm_e became non-finite at step")
+        assert str(err.value).startswith(f"{what} became non-finite at step")
