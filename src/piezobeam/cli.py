@@ -105,13 +105,14 @@ def _write_array(fh, rows):
     whose index clips), and values within 3e-4 of a tie (6e-4 of random
     values) or next to a power of ten.  Such a row's records keep no byte;
     its text (at most 20 bytes a value) is written over their start, so
-    the one pass that drops the unused bytes leaves every row in place.
+    the one pass that drops the zero bytes -- ``bytes.translate`` of a copy
+    of only the records the slice filled -- leaves every row in place.
     """
     quad, tz2, base, expw, p10, keep = _record_tables()
     width = rows.shape[1]
     sep = np.array([ord(",")] * (width - 1) + [ord("\n")], np.uint64) << 40
-    buf = bytearray(40 * min(len(rows), CSV_CHUNK_ROWS) * width)   # records
-    text = np.frombuffer(buf, np.uint64).reshape(-1, 5)
+    text = np.empty((min(len(rows), CSV_CHUNK_ROWS) * width, 5), np.uint64)
+    chars = text.data.cast("B")             # the records' bytes
     for i0 in range(0, len(rows), CSV_CHUNK_ROWS):
         block = rows[i0 : i0 + CSV_CHUNK_ROWS]
         v = block.ravel()
@@ -140,12 +141,11 @@ def _write_array(fh, rows):
             t[:, j] &= quad.take(gj, mode="clip")
         t.reshape(-1, width, 5)[..., 4] &= (
             expw.take(ei, mode="clip").reshape(-1, width) | sep)
-        text[v.size :] = 0                  # the last chunk's unused tail
         # the rows that failed: their text where their zeroed records were
         for i, row in zip(np.flatnonzero(bad).tolist(), block[bad].tolist()):
             line = (",".join(map(_fmt, row)) + "\n").encode()
-            buf[40 * width * i : 40 * width * i + len(line)] = line
-        fh.write(buf.translate(None, b"\0"))
+            chars[40 * width * i : 40 * width * i + len(line)] = line
+        fh.write(t.tobytes().translate(None, b"\0"))
 
 
 def write_csv(path, header, rows):
@@ -158,7 +158,8 @@ def write_csv(path, header, rows):
     12-digit rounding tie fall back to ``_fmt``).  A table with a text cell
     is written by one %-format string: text as it is, numbers as ``_fmt``.
     An output directory that cannot be created (a file in its place or on
-    its path) is a ConfigError naming it, raised before the file is opened.
+    its path) is a ConfigError naming it, raised before the file is opened;
+    so is an output file that cannot be opened (a directory in its place).
     """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -171,7 +172,12 @@ def write_csv(path, header, rows):
         table = np.asarray(rows, dtype=np.float64)
     except ValueError:      # a text cell (or rows of unequal length)
         table = None
-    with open(path, "wb") as fh:
+    try:
+        fh = open(path, "wb")
+    except OSError as exc:      # a directory in its place, no permission, ...
+        raise ConfigError(f"cannot open output file {path}: "
+                          f"{exc.strerror}") from None
+    with fh:
         fh.write((",".join(header) + "\n").encode())
         if table is not None and table.ndim == 2 and table.shape[1]:
             _write_array(fh, table)

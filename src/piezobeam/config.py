@@ -323,6 +323,10 @@ def resolve_config(data):
         _flatten(PRESETS[preset_name], raw)
     _flatten(data, raw)
     v = {key: _coerce(key, value) for key, value in raw.items()}
+    label = v["label"] or preset_name or "run"    # names the CSVs in out_dir
+    if label in (".", "..") or {"/", os.sep, os.altsep} & set(label):
+        raise ConfigError(f"label: {label!r} must be a plain file name: "
+                          f"no path separator, not . or ..")
 
     params = _build_params(v)
     N = v["N"]
@@ -363,7 +367,7 @@ def resolve_config(data):
         eps_bound=noise.bound if eps_bound is None else eps_bound,
         sim=sim,
         out_dir=v["output.dir"],
-        label=v["label"] or preset_name or "run",
+        label=label,
         sweep_placements=sweep_placements,
     )
 

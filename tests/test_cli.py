@@ -1,5 +1,6 @@
 import gc
 import importlib
+import io
 import math
 import re
 import tracemalloc
@@ -319,6 +320,42 @@ def test_out_path_blocked_by_a_file_exits_2(tmp_path, capsys, command, under):
     assert "Traceback" not in err
     assert blocker.read_text() == "not a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "taken"]
+
+
+def test_out_file_blocked_by_a_directory_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, {"preset": "fig1", "sim": {"t_final": 0.1}})
+    out = tmp_path / "out"
+    blocker = out / "fig1_timeseries.csv"
+    blocker.mkdir(parents=True)
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot open output file {blocker}: ")
+    assert "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == ["fig1_timeseries.csv"]
+    assert not any(blocker.iterdir())
+
+
+@pytest.mark.parametrize("label", ["../escaped", "a/b"])
+def test_label_with_a_path_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                      label):
+    path = write_config(tmp_path, {"preset": "fig1", "label": label,
+                                   "sim": {"t_final": 0.1}})
+    out = tmp_path / "inner"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: label: {label!r} ")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
+
+def test_label_must_be_a_plain_file_name():
+    for label in [".", "..", "/abs", "a/", "x/../y"]:
+        with pytest.raises(ConfigError, match="^label: "):
+            resolve_config({"label": label})
+    for name in PRESETS:
+        assert resolve_config({"preset": name}).label == name
+    for label in ["wide", "p000", "fig1.v2", "..x"]:
+        assert resolve_config({"label": label}).label == label
 
 
 def test_infeasible_placement_exit_code(tmp_path, capsys):
@@ -948,6 +985,41 @@ def test_array_csv_splices_fallback_rows_at_chunk_edges(tmp_path):
     header = ["a", "b", "c", "d"]
     expect = reference_csv(header, array.tolist())
     assert write_csv(tmp_path / "a.csv", header, array).read_bytes() == expect
+
+
+class RecordingBytes(io.BytesIO):
+    """File object that keeps each payload written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.payloads = []
+
+    def write(self, data):
+        self.payloads.append(bytes(data))
+        return super().write(data)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1024])
+def test_array_csv_bytes_do_not_depend_on_the_slice_size(monkeypatch, chunk):
+    # fallback rows (nan, a half-tie, a subnormal) are the last rows of the
+    # three full slices, and the short final slice follows a slice whose tail
+    # held one: records an earlier slice left in the buffer must never be
+    # written
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(chunk)
+    n = 3 * chunk + chunk // 2
+    array = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-30, 30, (n, 3))
+    odd = [math.nan, 1234567890125.0, 5e-324]
+    full = n // chunk * chunk
+    for k, row in enumerate(range(chunk - 1, full, chunk)):
+        array[row, k % 3] = odd[k % 3]
+    header = ["a", "b", "c"]
+    fh = RecordingBytes()
+    cli._write_array(fh, array)
+    assert len(fh.payloads) == -(-n // chunk)
+    assert not any(b"\0" in payload for payload in fh.payloads)
+    expect = reference_csv(header, array.tolist())
+    assert b"a,b,c\n" + fh.getvalue() == expect
 
 
 def test_array_csv_on_ties_and_powers_of_ten(tmp_path):
