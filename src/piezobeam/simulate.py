@@ -19,6 +19,18 @@ M is block upper-triangular and its spectrum is the separation spectrum
 eig(A - BK) + eig(A - LC) joined with eig(A_res); full, the control
 spillover can move it into the right half-plane.
 
+The spectrum comes block by block, on one path for both couplings.  The
+nonzeros of M give an adjacency over 2 + R groups: z, e and each residual
+mode's (w, w') pair.  Its boolean closure gives the strongly connected
+components, and M permuted to their order is block upper-triangular, so
+eig(M) is the union of the spectra of their diagonal blocks; blocks of one
+size go through one stacked ``eigvals`` call.  Truncated, that is a
+(2, 2N, 2N) and an (R, 2, 2) call (one call when N = 1).  Full, with
+every residual mode coupled both ways, it is one component over all of M,
+which keeps the bits of eigvals(M); a mode whose spillover or sensor
+coefficient is zero (the sensor on one of its nodes, say) splits off as
+its own 2 x 2 block.
+
 The system is linear, X' = M X + G c(t), with time dependence confined to
 the channel values c(t) (modal forces and noise).  One classical RK4 step
 of such a system collapses to
@@ -77,6 +89,7 @@ in a later segment.
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 
@@ -314,10 +327,15 @@ class RK4:
 class CoupledDynamics:
     """The coupled operator M on [z, e, z_res] and all that derives from it.
 
-    ``spectrum`` is eig(M) and ``cap`` its stability cap.  dt is
+    ``components`` holds the sorted states of each strongly connected
+    component of M's sparsity graph over the groups z, e and each residual
+    mode's (w, w') pair, largest first.  ``spectrum`` is eig(M): the
+    eigenvalues of their diagonal blocks, in that order, from one stacked
+    ``eigvals`` call per block size.  ``cap`` is its stability cap.  dt is
     ``config.dt``, or half the cap when unset; a dt above the cap is a
     ConfigError, and an unset dt on an M with max Re eig(M) >= 0 is an
-    UnstableMatrixError.  A noise spec without a hold gets ten steps.
+    UnstableMatrixError.  Both name the block that holds max Re.  A noise
+    spec without a hold gets ten steps.
 
     G has a column per entry of ``channels``, the distinct harmonic sets
     of the driven modes present, and a last one for the noise;
@@ -356,19 +374,42 @@ class CoupledDynamics:
             M[res, e] = spill
         self.M = M
 
-        self.spectrum = np.linalg.eigvals(M)
+        # M's strongly connected components over the groups z, e and each
+        # residual mode's (w, w') pair: their diagonal blocks hold eig(M)
+        group = np.concatenate([np.repeat([0, 1], 2 * N),
+                                2 + np.tile(np.arange(R), 2)])
+        rows, cols = np.nonzero(M)
+        reach, wider = None, np.eye(2 + R)
+        wider[group[rows], group[cols]] = 1.0
+        while not np.array_equal(wider, reach):
+            reach = wider
+            wider = np.minimum(reach @ reach, 1.0)
+        # a component is named by its lowest group, its root; found without
+        # np.unique, whose first call pages in about 1 MB of sort code
+        first = np.argmax(reach * reach.T, axis=1)
+        roots, root = np.flatnonzero(first == np.arange(2 + R)), first[group]
+        self.components = sorted((np.flatnonzero(root == r) for r in roots),
+                                 key=len, reverse=True)
+        stacks = [np.array(list(same))
+                  for _, same in groupby(self.components, len)]
+        self.spectrum = np.concatenate([
+            np.linalg.eigvals(M[ix[:, :, None], ix[:, None, :]]).ravel()
+            for ix in stacks])
         self.cap = stability_cap(self.spectrum)
-        max_re = float(np.max(self.spectrum.real))
+        top = int(np.argmax(self.spectrum.real))
+        max_re = float(self.spectrum.real[top])
         if config.dt is None and max_re >= 0.0:
             raise UnstableMatrixError(
                 f"the coupled operator M is not stable (max Re eig(M) = "
-                f"{max_re:.3g} >= 0); set dt to integrate it anyway")
+                f"{max_re:.3g} >= 0); set dt to integrate it anyway "
+                f"(max Re is in {self.block_name(top)})")
         dt = config.dt if config.dt is not None else 0.5 * self.cap
         if math.isfinite(self.cap) and dt > self.cap * (1.0 + 1e-9):
             raise ConfigError(
                 f"dt = {dt:.3e} exceeds the stability cap {self.cap:.3e} of "
                 f"the coupled operator M (max Re eig(M) = {max_re:.3g}); "
-                "reduce dt or leave it unset"
+                f"reduce dt or leave it unset (max Re is in "
+                f"{self.block_name(top)})"
             )
         self.dt = float(dt)
         self.noise = (noise if noise.hold is not None
@@ -404,6 +445,27 @@ class CoupledDynamics:
             grown = reached | (M[:, reached] != 0.0).any(axis=1)
         self.live = np.flatnonzero(reached)
         self.rk4 = RK4(M[np.ix_(self.live, self.live)], G[self.live], self.dt)
+
+    def block_name(self, i):
+        """The diagonal block of M whose spectrum holds ``spectrum[i]``:
+        "the A - BK block", "the A - LC block", "residual mode k", or "the
+        coupled block of" its groups, e.g. "z, e and residual modes 4-8"."""
+        N = self.N
+        ends = np.cumsum([len(c) for c in self.components])
+        states = self.components[int(np.searchsorted(ends, i, side="right"))]
+        parts = [name for name, lo in (("z", 0), ("e", 2 * N))
+                 if np.any((states >= lo) & (states < lo + 2 * N))]
+        modes = np.unique((states[states >= 4 * N] - 4 * N) % self.R) + N + 1
+        if modes.size:
+            parts.append(
+                f"residual mode {modes[0]}" if modes.size == 1 else
+                f"residual modes {modes[0]}-{modes[-1]}"
+                if modes[-1] - modes[0] == modes.size - 1 else
+                "residual modes " + ", ".join(map(str, modes)))
+        if len(parts) == 1:
+            return {"z": "the A - BK block",
+                    "e": "the A - LC block"}.get(parts[0], parts[0])
+        return f"the coupled block of {', '.join(parts[:-1])} and {parts[-1]}"
 
     def initial_state(self, config):
         """X(0) = [z0, z0 - z_hat0, residual0]."""

@@ -10,13 +10,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dissipation, history, modal_energy, static_gain
 from piezobeam.beam import BeamParams
 from piezobeam.config import resolve_config
-from piezobeam.errors import ConfigError, DivergenceError, UnstableMatrixError
+from piezobeam.errors import (
+    ConfigError,
+    DivergenceError,
+    PlacementError,
+    UnstableMatrixError,
+)
 from piezobeam.modal import (
     DampingModel,
     Placement,
@@ -454,15 +459,24 @@ def test_residual0_adds_exactly_its_mode():
     np.testing.assert_array_equal(dyn.live, [*range(12), 12 + 1, 12 + 5 + 1])
 
 
+def assert_spectrum_of(dyn):
+    """dyn.spectrum is eig(M): sorted, within 64 eps ||M||_2 of eigvals(M).
+    The blocks and the whole M round differently."""
+    want = np.sort_complex(np.linalg.eigvals(dyn.M))
+    tol = 64 * np.finfo(float).eps * np.linalg.norm(dyn.M, 2)
+    got = np.sort_complex(dyn.spectrum)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= tol
+
+
 def test_spectrum_cap_and_dt_come_from_the_full_operator():
     config, system, gains = built(WIDE)
     dyn = CoupledDynamics(system, gains, config.disturbance, config.noise,
                           config.sim)
     assert dyn.dim == 200 and dyn.live.size == 80
-    spectrum = np.linalg.eigvals(dyn.M)
-    np.testing.assert_array_equal(dyn.spectrum, spectrum)
-    assert dyn.cap == stability_cap(spectrum)
-    assert dyn.dt == 0.5 * stability_cap(spectrum)
+    assert_spectrum_of(dyn)
+    assert dyn.cap == stability_cap(dyn.spectrum)
+    assert dyn.dt == 0.5 * stability_cap(dyn.spectrum)
     with pytest.raises(ConfigError, match=f"stability cap {dyn.cap:.3e} "):
         simulate(system, gains, config.disturbance, config.noise,
                  replace(config.sim, dt=2.0 * dyn.cap))
@@ -578,6 +592,85 @@ def test_full_coupling_cap_comes_from_the_coupled_spectrum():
                            coupling=Coupling.FULL))
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@example(N=3, R=5, coupling="full", strategy="tune", x2=0.1, x0=0.095)
+@given(N=st.integers(1, 8), R=st.integers(0, 6),
+       coupling=st.sampled_from(["truncated", "full"]),
+       strategy=st.sampled_from(["tune", "none"]),
+       x2=st.floats(0.01, 0.5), x0=st.floats(0.01, 0.99))
+def test_block_spectrum_is_eig_of_m(N, R, coupling, strategy, x2, x0):
+    """The spectrum from M's strongly connected blocks is eigvals(M)'s,
+    with its bits when one block is all of M (fig1 under full coupling),
+    and with dt unset it refuses exactly the M that eigvals(M) finds
+    unstable."""
+    data = {"N": N, "placement": {"x2": x2, "x0": x0},
+            "gains": {"strategy": strategy},
+            "sim": {"residual_modes": R, "coupling": coupling, "dt": None}}
+    try:
+        config, system, gains = built(data)
+    except PlacementError:
+        assume(False)
+    args = (system, gains, config.disturbance, config.noise)
+    dyn = CoupledDynamics(*args, replace(config.sim, dt=1e-9))
+    assert_spectrum_of(dyn)
+    whole = np.linalg.eigvals(dyn.M)
+    if len(dyn.components) == 1:
+        np.testing.assert_array_equal(dyn.spectrum, whole)
+    max_re = np.max(whole.real)
+    assume(abs(max_re) > 64 * np.finfo(float).eps * np.linalg.norm(dyn.M, 2))
+    if max_re >= 0.0:
+        with pytest.raises(UnstableMatrixError):
+            CoupledDynamics(*args, config.sim)
+    else:
+        assert CoupledDynamics(*args, config.sim).dt == 0.5 * dyn.cap
+
+
+@pytest.mark.parametrize("x0, sizes", [(0.095, [22]), (0.2, [20, 2])],
+                         ids=["fig1", "sensor_on_mode_5_node"])
+def test_full_coupling_splits_off_a_mode_the_sensor_cannot_see(x0, sizes):
+    # fig1's residual modes 4-8 all couple both ways: one block, all of M.
+    # At x0 = 0.2, a node of mode 5, e does not see w_5, so its pair
+    # (states 13 and 18) is a 2 x 2 block of its own after the rest.
+    config, system, gains = built(
+        with_sim({**FIG1, "placement": {"x0": x0}}, coupling="full",
+                 dt=1e-6))
+    dyn = CoupledDynamics(system, gains, config.disturbance, config.noise,
+                          config.sim)
+    assert [len(c) for c in dyn.components] == sizes
+    assert_spectrum_of(dyn)
+    if len(sizes) == 2:
+        np.testing.assert_array_equal(dyn.components[1], [13, 18])
+        assert dyn.block_name(dyn.dim - 1) == "residual mode 5"
+
+
+def unstable_state_feedback(system, gains):
+    """fig1's gains with K = -10 B^T / ||B||^2: A - BK = A + 10 B B^T /
+    ||B||^2 pumps energy in along B, so the A - BK block is unstable."""
+    B = np.asarray(system.B)
+    return replace(gains, K=-10.0 * B / (B @ B))
+
+
+@pytest.mark.parametrize("coupling, feedback, name", [
+    ("full", None, "the coupled block of z, e and residual modes 4-8"),
+    ("truncated", unstable_state_feedback, "the A - BK block"),
+], ids=["fig1_full", "unstable_A_BK"])
+def test_refusals_name_the_block_that_holds_max_re(coupling, feedback, name):
+    config, system, gains = built(with_sim(FIG1, coupling=coupling,
+                                           dt=None, residual_modes=5))
+    if feedback is not None:
+        gains = feedback(system, gains)
+    args = (system, gains, config.disturbance, config.noise)
+    where = re.escape(f"(max Re is in {name})") + "$"
+    with pytest.raises(UnstableMatrixError,
+                       match=r"^the coupled operator M is not stable \(max Re "
+                             r"eig\(M\) = \S+ >= 0\); set dt to integrate it "
+                             r"anyway " + where):
+        CoupledDynamics(*args, config.sim)
+    with pytest.raises(ConfigError, match=r"reduce dt or leave it unset "
+                                          + where):
+        CoupledDynamics(*args, replace(config.sim, dt=1.0))
+
+
 def test_one_residual_block_and_one_spectrum_per_run(monkeypatch):
     # the package's ``simulate`` attribute is the function, not the module
     sim = importlib.import_module("piezobeam.simulate")
@@ -599,7 +692,8 @@ def test_one_residual_block_and_one_spectrum_per_run(monkeypatch):
     res = simulate(system, gains, polyharmonic_disturbance(PARAMS),
                    NoiseSpec(bound=0.01, seed=2),
                    SimConfig(t_final=0.05, residual_modes=4, seed=1))
-    assert calls == {"block": 1, "eigvals": [(20, 20)]}
+    # one call per block size: z and e, then the four residual modes
+    assert calls == {"block": 1, "eigvals": [(2, 6, 6), (4, 2, 2)]}
     assert len(res.t) > 1
 
 
