@@ -98,9 +98,7 @@ KEYS = {
     "gains.L": ("list?", None),
     "sim.t_final": ("float", 12.0),
     "sim.dt": ("float?", 2.5e-4),
-    # eig(M) comes from M's strongly connected blocks (truncated: the z and
-    # e blocks and one 2 x 2 per mode; full: all 4N + 2R rows unless a mode
-    # decouples); undriven residual modes at rest stay 0 and are not stepped
+    # R residual modes; undriven ones at rest stay 0 and are not stepped
     "sim.residual_modes": ("int", 5, (-inf, 200)),
     "sim.coupling": (Coupling, "truncated"),
     "sim.seed": ("int", 7),

@@ -17,19 +17,8 @@ e = z - z_hat; z_hat = z - e is derived from it.  In these coordinates
 with the bracketed blocks present under full coupling only.  Truncated,
 M is block upper-triangular and its spectrum is the separation spectrum
 eig(A - BK) + eig(A - LC) joined with eig(A_res); full, the control
-spillover can move it into the right half-plane.
-
-The spectrum comes block by block, on one path for both couplings.  The
-nonzeros of M give an adjacency over 2 + R groups: z, e and each residual
-mode's (w, w') pair.  Its boolean closure gives the strongly connected
-components, and M permuted to their order is block upper-triangular, so
-eig(M) is the union of the spectra of their diagonal blocks; blocks of one
-size go through one stacked ``eigvals`` call.  Truncated, that is a
-(2, 2N, 2N) and an (R, 2, 2) call (one call when N = 1).  Full, with
-every residual mode coupled both ways, it is one component over all of M,
-which keeps the bits of eigvals(M); a mode whose spillover or sensor
-coefficient is zero (the sensor on one of its nodes, say) splits off as
-its own 2 x 2 block.
+spillover can move it into the right half-plane.  ``CoupledDynamics``
+takes eig(M) block by block, over M's strongly connected components.
 
 The system is linear, X' = M X + G c(t), with time dependence confined to
 the channel values c(t) (modal forces and noise).  One classical RK4 step
@@ -102,6 +91,11 @@ from .signals import modal_force  # noqa: F401
 
 DT_REAL_FACTOR = 0.1      # dt <= 0.1 / max |Re lambda|
 DT_IMAG_FACTOR = 2 * math.pi / 20.0  # >= 20 steps per fastest period
+# An unset dt is half the cap rounded down to DT_BITS significant bits.
+# Half-step indices j stay below MAX_HISTORY_VALUES = 2^24, so every grid
+# time j dt / 2 and the default noise hold 10 dt are exact: a hold edge
+# starts its own interval, and dt keeps none of the eigensolver's last bits.
+DT_BITS = 29
 
 # Steps per segment of a coupled run (its states, channel rows and derived
 # rows) and rows per chunk of the residual-mode states: bounds the
@@ -329,13 +323,17 @@ class CoupledDynamics:
 
     ``components`` holds the sorted states of each strongly connected
     component of M's sparsity graph over the groups z, e and each residual
-    mode's (w, w') pair, largest first.  ``spectrum`` is eig(M): the
-    eigenvalues of their diagonal blocks, in that order, from one stacked
-    ``eigvals`` call per block size.  ``cap`` is its stability cap.  dt is
-    ``config.dt``, or half the cap when unset; a dt above the cap is a
-    ConfigError, and an unset dt on an M with max Re eig(M) >= 0 is an
-    UnstableMatrixError.  Both name the block that holds max Re.  A noise
-    spec without a hold gets ten steps.
+    mode's (w, w') pair (group 0, 1 and 2 + k), largest first, and
+    ``component_groups`` their groups.  M permuted to their order is block
+    upper-triangular, so ``spectrum``, eig(M), is the eigenvalues of their
+    diagonal blocks, in that order, from one stacked ``eigvals`` call per
+    block size: truncated, the z and e blocks and R 2 x 2 blocks; full, all
+    of M (eigvals(M)'s bits) unless a mode decouples.  ``cap`` is its
+    stability cap.  dt is ``config.dt``, or half the cap rounded down to
+    DT_BITS bits when unset; a dt above the cap is a ConfigError, and an
+    unset dt on an M with max Re eig(M) >= 0 is an UnstableMatrixError.
+    Both name the block that holds max Re.  A noise spec without a hold
+    gets ten steps.
 
     G has a column per entry of ``channels``, the distinct harmonic sets
     of the driven modes present, and a last one for the noise;
@@ -374,8 +372,6 @@ class CoupledDynamics:
             M[res, e] = spill
         self.M = M
 
-        # M's strongly connected components over the groups z, e and each
-        # residual mode's (w, w') pair: their diagonal blocks hold eig(M)
         group = np.concatenate([np.repeat([0, 1], 2 * N),
                                 2 + np.tile(np.arange(R), 2)])
         rows, cols = np.nonzero(M)
@@ -387,9 +383,12 @@ class CoupledDynamics:
         # a component is named by its lowest group, its root; found without
         # np.unique, whose first call pages in about 1 MB of sort code
         first = np.argmax(reach * reach.T, axis=1)
-        roots, root = np.flatnonzero(first == np.arange(2 + R)), first[group]
-        self.components = sorted((np.flatnonzero(root == r) for r in roots),
-                                 key=len, reverse=True)
+        parts = sorted(((np.flatnonzero(first[group] == r),
+                         np.flatnonzero(first == r))
+                        for r in np.flatnonzero(first == np.arange(2 + R))),
+                       key=lambda part: len(part[0]), reverse=True)
+        self.components = [states for states, _ in parts]
+        self.component_groups = [groups for _, groups in parts]
         stacks = [np.array(list(same))
                   for _, same in groupby(self.components, len)]
         self.spectrum = np.concatenate([
@@ -403,7 +402,10 @@ class CoupledDynamics:
                 f"the coupled operator M is not stable (max Re eig(M) = "
                 f"{max_re:.3g} >= 0); set dt to integrate it anyway "
                 f"(max Re is in {self.block_name(top)})")
-        dt = config.dt if config.dt is not None else 0.5 * self.cap
+        dt = config.dt
+        if dt is None:
+            m, p = math.frexp(0.5 * self.cap)
+            dt = math.ldexp(math.floor(math.ldexp(m, DT_BITS)), p - DT_BITS)
         if math.isfinite(self.cap) and dt > self.cap * (1.0 + 1e-9):
             raise ConfigError(
                 f"dt = {dt:.3e} exceeds the stability cap {self.cap:.3e} of "
@@ -450,18 +452,15 @@ class CoupledDynamics:
         """The diagonal block of M whose spectrum holds ``spectrum[i]``:
         "the A - BK block", "the A - LC block", "residual mode k", or "the
         coupled block of" its groups, e.g. "z, e and residual modes 4-8"."""
-        N = self.N
         ends = np.cumsum([len(c) for c in self.components])
-        states = self.components[int(np.searchsorted(ends, i, side="right"))]
-        parts = [name for name, lo in (("z", 0), ("e", 2 * N))
-                 if np.any((states >= lo) & (states < lo + 2 * N))]
-        modes = np.unique((states[states >= 4 * N] - 4 * N) % self.R) + N + 1
+        groups = self.component_groups[int(np.searchsorted(ends, i, "right"))]
+        parts = [("z", "e")[g] for g in groups[groups < 2]]
+        modes = self.block.modes[groups[groups >= 2] - 2]
         if modes.size:
-            parts.append(
-                f"residual mode {modes[0]}" if modes.size == 1 else
-                f"residual modes {modes[0]}-{modes[-1]}"
-                if modes[-1] - modes[0] == modes.size - 1 else
-                "residual modes " + ", ".join(map(str, modes)))
+            span = (f"{modes[0]}-{modes[-1]}" if modes.size > 2 and
+                    modes[-1] - modes[0] == modes.size - 1 else
+                    ", ".join(map(str, modes)))
+            parts.append(f"residual mode{'s' * (modes.size > 1)} {span}")
         if len(parts) == 1:
             return {"z": "the A - BK block",
                     "e": "the A - LC block"}.get(parts[0], parts[0])

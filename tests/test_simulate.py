@@ -40,6 +40,7 @@ from piezobeam.signals import (
 )
 from piezobeam.simulate import (
     CHUNK_ROWS,
+    DT_BITS,
     RK4,
     TIMESERIES,
     CoupledDynamics,
@@ -469,6 +470,12 @@ def assert_spectrum_of(dyn):
     assert np.max(np.abs(got - want), initial=0.0) <= tol
 
 
+def assert_unset_dt(dt, cap):
+    """dt is half the cap rounded down to DT_BITS significant bits."""
+    assert math.ldexp(math.frexp(dt)[0], DT_BITS).is_integer()
+    assert 0.5 * cap * (1.0 - 2.0 ** (1 - DT_BITS)) < dt <= 0.5 * cap
+
+
 def test_spectrum_cap_and_dt_come_from_the_full_operator():
     config, system, gains = built(WIDE)
     dyn = CoupledDynamics(system, gains, config.disturbance, config.noise,
@@ -476,10 +483,24 @@ def test_spectrum_cap_and_dt_come_from_the_full_operator():
     assert dyn.dim == 200 and dyn.live.size == 80
     assert_spectrum_of(dyn)
     assert dyn.cap == stability_cap(dyn.spectrum)
-    assert dyn.dt == 0.5 * stability_cap(dyn.spectrum)
+    assert_unset_dt(dyn.dt, stability_cap(dyn.spectrum))
     with pytest.raises(ConfigError, match=f"stability cap {dyn.cap:.3e} "):
         simulate(system, gains, config.disturbance, config.noise,
                  replace(config.sim, dt=2.0 * dyn.cap))
+
+
+def test_unset_dt_starts_each_noise_hold_on_its_own_step():
+    # sim_wide's horizon: at half the cap unrounded, 277 of its 4,021 hold
+    # edges j dt / 2 = 10 m dt gave floor(t / hold) = m - 1, the value of
+    # the hold before
+    config, system, gains = built(with_sim(WIDE, t_final=0.1))
+    dyn = CoupledDynamics(system, gains, config.disturbance, config.noise,
+                          config.sim)
+    n = round(0.1 / dyn.dt)
+    xi = noise_samples(dyn.noise, np.arange(2 * n + 1) * (0.5 * dyn.dt))
+    holds = xi[: 2 * n // 20 * 20].reshape(-1, 20)
+    assert np.all(holds == holds[:, :1])
+    assert np.all(holds[1:, 0] != holds[:-1, 0])
 
 
 def test_history_limit_counts_every_state():
@@ -559,7 +580,7 @@ def test_truncated_cap_is_the_min_over_blocks(N, R, tuned, model):
     want = block_cap_oracle(system, gains,
                             residual_block(PARAMS, PATCH, N, R, model))
     assert dyn.cap == pytest.approx(want, rel=1e-12, abs=0)
-    assert dyn.dt == 0.5 * dyn.cap
+    assert_unset_dt(dyn.dt, dyn.cap)
 
 
 def test_auto_dt_stays_below_cap():
@@ -622,7 +643,7 @@ def test_block_spectrum_is_eig_of_m(N, R, coupling, strategy, x2, x0):
         with pytest.raises(UnstableMatrixError):
             CoupledDynamics(*args, config.sim)
     else:
-        assert CoupledDynamics(*args, config.sim).dt == 0.5 * dyn.cap
+        assert_unset_dt(CoupledDynamics(*args, config.sim).dt, dyn.cap)
 
 
 @pytest.mark.parametrize("x0, sizes", [(0.095, [22]), (0.2, [20, 2])],
@@ -641,6 +662,8 @@ def test_full_coupling_splits_off_a_mode_the_sensor_cannot_see(x0, sizes):
     if len(sizes) == 2:
         np.testing.assert_array_equal(dyn.components[1], [13, 18])
         assert dyn.block_name(dyn.dim - 1) == "residual mode 5"
+        assert dyn.block_name(0) == ("the coupled block of z, e and "
+                                     "residual modes 4, 6, 7, 8")
 
 
 def unstable_state_feedback(system, gains):
