@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, UnstableMatrixError
 from .modal import DampingModel, resonant_frequencies
 from .simulate import simulate_residual_mode
 from .synthesis import decay_rate, eigvec_condition
@@ -168,7 +168,7 @@ def performance_metrics(result):
     The steady window is the final 20% of the horizon; the run must be long
     enough that the window starts after ten controller decay times
     (10 / lambda_K, or 10 over the open-loop decay rate of A without
-    gains), else ConfigError.  The steady band is mean + 3 std of
+    gains), else ConfigError; so is an open-loop A that does not decay.  The steady band is mean + 3 std of
     ||e|| over the window; settling time is the first time ||e|| enters and
     stays within twice that band.  The attenuation ratio divides the steady
     mean of ||z|| by ``result.force_sup``, the sup of the modal force
@@ -179,7 +179,11 @@ def performance_metrics(result):
     if gains is not None:
         lam, rate = gains.lambda_K, "lambda_K"
     else:
-        lam, rate = decay_rate(result.system.A), "the open-loop decay rate"
+        try:
+            lam = decay_rate(result.system.A, "the open-loop plant A")
+        except UnstableMatrixError as exc:     # no design to be infeasible
+            raise ConfigError(str(exc)) from None
+        rate = "the open-loop decay rate"
     if 0.8 * t_final < 10.0 / lam:
         raise ConfigError(
             f"horizon {t_final:.3g} too short: steady window begins before "

@@ -15,7 +15,6 @@ import argparse
 import sys
 from dataclasses import replace
 from functools import cache
-from itertools import chain
 
 import numpy as np
 
@@ -48,12 +47,6 @@ CSV_CHUNK_ROWS = 1024
 _EXP = 290          # decimal exponents the tables cover
 _ZERO = 18 * 24     # patterns of +0 and -0; _ZERO + 2 keeps no byte
 _TIE_MARGIN = 0.4997   # below 0.5 - 2.44e-4, see _write_array
-
-
-def _row_format(row):
-    """%-format of one row: strings as they are, numbers as ``_fmt``."""
-    return ",".join("%s" if isinstance(v, str) else "%.12g"
-                    for v in row) + "\n"
 
 
 @cache
@@ -156,7 +149,7 @@ def write_csv(path, header, rows):
     whose text is exact by construction: the bytes of ``%.12g`` of each
     value (rows holding nan, inf, a value beyond 1e+-290 or one near a
     12-digit rounding tie fall back to ``_fmt``).  A table with a text cell
-    is written by one %-format string: text as it is, numbers as ``_fmt``.
+    is written row by row: text as it is, numbers as ``_fmt``.
     An output directory that cannot be created (a file in its place or on
     its path) is a ConfigError naming it, raised before the file is opened;
     so is an output file that cannot be opened (a directory in its place).
@@ -182,8 +175,9 @@ def write_csv(path, header, rows):
         if table is not None and table.ndim == 2 and table.shape[1]:
             _write_array(fh, table)
         else:
-            fh.write(("".join(map(_row_format, rows))
-                      % tuple(chain.from_iterable(rows))).encode())
+            fh.write("".join(",".join(v if isinstance(v, str) else _fmt(v)
+                                      for v in row) + "\n"
+                             for row in rows).encode())
     return path
 
 

@@ -285,8 +285,9 @@ def _build_disturbance(d, params, model):
     needs = {"custom": ["modes"], "constant": ["values"],
              "tail": ["f0", "tail_modes"]}[d["kind"]]
     if any(d[name] is None for name in needs):
-        needs = " and ".join(f"disturbance.{name}" for name in needs)
-        raise ConfigError(f"{needs} required for kind '{d['kind']}'")
+        # _coerced("disturbance") names the section
+        raise ValueError(f"{' and '.join(needs)} required for kind "
+                         f"'{d['kind']}'")
     if d["kind"] == "custom":
         return build_disturbance(d["modes"], bound=d["bound"])
     if d["kind"] == "constant":

@@ -95,13 +95,9 @@ def build_disturbance(mode_harmonics, bound=None):
     )
     if not all(math.isfinite(x) for hs in raw for h in hs for x in h):
         raise ValueError("harmonic terms must be finite numbers")
-    if bound is None:
-        bound = max(
-            (sum(abs(a) for a, _, _ in hs) for hs in raw), default=0.0
-        )
-        return DisturbanceSpec(
-            tuple(tuple(Harmonic(*h) for h in hs) for hs in raw), bound
-        )
+    if bound is None:       # _normalized's scale is then exactly 1.0
+        bound = max((sum(abs(a) for a, _, _ in hs) for hs in raw),
+                    default=0.0)
     return DisturbanceSpec(_normalized(raw, bound), float(bound))
 
 

@@ -18,7 +18,8 @@ with the bracketed blocks present under full coupling only.  Truncated,
 M is block upper-triangular and its spectrum is the separation spectrum
 eig(A - BK) + eig(A - LC) joined with eig(A_res); full, the control
 spillover can move it into the right half-plane.  ``CoupledDynamics``
-takes eig(M) block by block, over M's strongly connected components.
+builds M once per run, and its spectrum, step, stepped states and
+propagators all come from it.
 
 The system is linear, X' = M X + G c(t), with time dependence confined to
 the channel values c(t) (modal forces and noise).  One classical RK4 step
@@ -26,53 +27,26 @@ of such a system collapses to
 
     X+ = R X + P1 G c(t) + (P2 + P3) G c(t + dt/2) + P4 G c(t + dt)
 
-with matrices R, P* that are polynomials in dt*M, precomputed once.  This
-is algebraically classical RK4.  Over a horizon it is a linear recurrence
-with a constant matrix, so ``RK4.run`` evaluates it as a blocked scan: the
-forcing of every step in a few GEMMs, then blocks of b ~ sqrt(n/2) steps
-advanced side by side from block starts carried by R^b.  The carry needs
-each block's end state from rest, a sum over the block's 2b + 1 channel
-rows with weights P*G times powers of R: one GEMM over the channel table c
-(a free reshape when c is C-contiguous) and one for the rows that two
-blocks share.  With g channels and d stepped states it costs
-n 2g d + b 3g d^2 flops, so b is also held to at most 2n / 3d (or 1):
-building the (3b + 1) g d weights then costs no more than the sum, and
-they take at most about the room of the (2n + 1) g channel table.  The
-coupled simulation has one channel per distinct harmonic set (modes that
-share their harmonics share a column of G) and one for the noise, and
-takes the forcing on the half-step grid from ``signals.cosine_sum_grid``
-(angle addition: O(sqrt(count)) cos/sin calls per harmonic).  The
-residual-mode runs stack R1 and P*G per mode and solve the recurrence in
-closed form on the states they keep, all modes in one batch; their
-phasors e^(i j dt om) also come by angle addition, as a coarse times a
-fine factor with the fine length fixed at F = sqrt(CHUNK_ROWS).
+with matrices R, P* that are polynomials in dt*M, precomputed once
+(``RK4``).  This is algebraically classical RK4, and over a horizon it is
+a linear recurrence with a constant matrix, so no step needs to be taken
+one at a time: ``RK4.run`` scans it in blocks, and
+``simulate_residual_mode`` solves it in closed form under harmonic
+forcing.  ``simulate`` keeps no state history, only its timeseries table.
 
-``simulate`` keeps no state history: it runs the horizon in consecutive
-segments of CHUNK_ROWS steps through one segment buffer.  Each segment
-synthesizes its own half-step channel rows, runs ``RK4.run`` from the
-previous segment's last state (so segments share their edge row), tests
-its states for finiteness, and writes t, V, y and the norms of e, z and
-z_res straight into one (n + 1) x 6 table in the CSV's column order
-(``TIMESERIES``), each by the whole-segment expressions.  The table is the
-only array whose length grows with the horizon.  Both finiteness tests
-take a whole segment at once and locate the row only in one that fails.
+Only the states that X(0) and the forcing reach through M are stepped.
+They are closed under M, so RK4 on their sub-block of M is exact, and the
+rest (an undriven residual mode at rest, under truncated coupling) stay
+0.0 and drop out of V, y and the norms.  The spectrum, cap, dt and step
+limit use all of M.
+
+An unstable M (max Re eig(M) >= 0) is refused before stepping when dt is
+unset; with dt given it is integrated, and a non-finite state ends the
+run with a DivergenceError.
 
 Artifact contract: the same code, config, seeds and BLAS thread count give
 the same bytes; across versions the outputs agree within the benchmark's
 1e-7 relative reference, and CHANGES.md lists the rows a change moves.
-
-Only the states that X(0) and the forcing reach through the nonzeros of M
-are stepped.  That set is closed under M, so RK4 on its sub-block of M is
-exact, and the rest (an undriven residual mode at rest, under truncated
-coupling) stay 0.0 and drop out of V, y and the norms.  The spectrum, cap,
-dt and history limit use all of M.
-
-An unstable M (max Re eig(M) >= 0) is refused before stepping when dt is
-unset; with dt given it is integrated, and a non-finite state ends the
-run with a DivergenceError.  So does a derived series that overflows
-while the state stays finite (a norm squares states above 1e154), once
-every state of the run is found finite: a non-finite state wins, even one
-in a later segment.
 """
 
 import math
@@ -92,7 +66,7 @@ from .signals import modal_force  # noqa: F401
 DT_REAL_FACTOR = 0.1      # dt <= 0.1 / max |Re lambda|
 DT_IMAG_FACTOR = 2 * math.pi / 20.0  # >= 20 steps per fastest period
 # An unset dt is half the cap rounded down to DT_BITS significant bits.
-# Half-step indices j stay below MAX_HISTORY_VALUES = 2^24, so every grid
+# Half-step indices j stay below MAX_STEPPED_VALUES = 2^24, so every grid
 # time j dt / 2 and the default noise hold 10 dt are exact: a hold edge
 # starts its own interval, and dt keeps none of the eigensolver's last bits.
 DT_BITS = 29
@@ -107,10 +81,15 @@ CHUNK_ROWS = 1 << 14
 # pass it lands in.
 PHASOR_FINE = math.isqrt(CHUNK_ROWS)
 
-# Most state values (n + 1) x dim one run steps through: a limit on run
-# length (no history is kept), above 192k steps at dim 22 and 40k steps at
-# dim 200.
-MAX_HISTORY_VALUES = 1 << 24
+# Most state values (n + 1) x dim that one run steps through: a limit on
+# run length (no history is kept), above 192k steps at dim 22 and 40k steps
+# at dim 200.
+MAX_STEPPED_VALUES = 1 << 24
+
+# A residual mode's sups are taken after SETTLE_DECAYS decay times from
+# rest, over KEPT_PERIODS periods of its fastest frequency.
+SETTLE_DECAYS = 12
+KEPT_PERIODS = 40
 
 # The series of a run's timeseries table, in its (and the CSV's) column order.
 TIMESERIES = ("t", "norm_e", "norm_z", "V", "y", "norm_residual")
@@ -196,13 +175,14 @@ def stability_cap(spectrum):
 def _step_count(t_final, dt, dim):
     """Steps over [0, t_final]: round(t_final / dt), at least 1 unless
     t_final = 0.  Refused before any allocation when the run's (n + 1) x dim
-    state values would exceed MAX_HISTORY_VALUES."""
+    state values would exceed MAX_STEPPED_VALUES."""
     steps = t_final / dt                 # inf when it overflows
-    n = 0 if t_final == 0.0 else max(1, round(min(steps, MAX_HISTORY_VALUES)))
-    if (n + 1) * dim > MAX_HISTORY_VALUES:
+    n = 0 if t_final == 0.0 else max(1, round(min(steps, MAX_STEPPED_VALUES)))
+    if (n + 1) * dim > MAX_STEPPED_VALUES:
         raise ConfigError(
             f"t_final = {t_final:g} at dt = {dt:.3e} takes {steps:.4g} steps; "
-            f"their {dim}-state history exceeds {MAX_HISTORY_VALUES} values")
+            f"stepping {dim} states through them exceeds the limit of "
+            f"{MAX_STEPPED_VALUES} state values")
     return n
 
 
@@ -234,9 +214,11 @@ class RK4:
         ``c`` holds the channel values on the half-step grid: step i uses
         rows 2i, 2i+1 and 2i+2.  X must be C-contiguous, and so should c
         be: the channel sum reads it through a reshape, else a copy.
-        The forcing u_i of every step goes into X[1:] first, chunk by
-        chunk.  The steps are then taken in blocks of b ~ sqrt(n/2), but
-        b <= 2n / 3d, all blocks side by side:
+        The forcing u_i of every step goes into X[1:] first, one GEMM over
+        a stage table of 1.5 times c, so a caller bounds the temporaries by
+        the steps it hands over (``simulate``: a segment).  The steps are
+        then taken in blocks of b ~ sqrt(n/2), but b <= 2n / 3d, all
+        blocks side by side:
 
         - one sum over the channel rows, ``_block_ends``, gives each
           block's forced response from rest at its end: n 2g d flops, and
@@ -252,11 +234,8 @@ class RK4:
         n, d = X.shape[0] - 1, X.shape[1]
         if n == 0:
             return X
-        for i0 in range(0, n, CHUNK_ROWS):
-            i1 = min(i0 + CHUNK_ROWS, n)
-            stages = np.hstack([c[2 * i0 + k : 2 * i1 + k : 2]
-                                for k in range(3)])
-            np.matmul(stages, self.PG.T, out=X[1 + i0 : 1 + i1])
+        stages = np.hstack([c[k : 2 * n + k : 2] for k in range(3)])
+        np.matmul(stages, self.PG.T, out=X[1:])
         del stages          # freed before the channel sum's weights
 
         b = max(1, min(round(math.sqrt(n / 2)), 2 * n // max(3 * d, 1)))
@@ -338,9 +317,10 @@ class CoupledDynamics:
     G has a column per entry of ``channels``, the distinct harmonic sets
     of the driven modes present, and a last one for the noise;
     ``retained_channels`` is the column of each driven retained mode.
-    ``live`` lists, in order, the states that X(0) = ``x0`` and the forcing
-    G reach through the nonzeros of M; ``rk4`` propagates M and G
-    restricted to them.  Every other state stays exactly 0.
+    ``live`` lists, in order, the states of every group that M's group
+    graph leads to from a group holding a nonzero of X(0) = ``x0`` or of
+    G; ``rk4`` propagates M and G restricted to them.  Every other state
+    stays exactly 0 (so does a live one that nothing drives).
     """
 
     def __init__(self, system, gains, disturbance, noise, config):
@@ -375,6 +355,7 @@ class CoupledDynamics:
         group = np.concatenate([np.repeat([0, 1], 2 * N),
                                 2 + np.tile(np.arange(R), 2)])
         rows, cols = np.nonzero(M)
+        # reach[a, b] = 1 when group b drives group a through M, or a = b
         reach, wider = None, np.eye(2 + R)
         wider[group[rows], group[cols]] = 1.0
         while not np.array_equal(wider, reach):
@@ -441,11 +422,9 @@ class CoupledDynamics:
         self.G = G
 
         self.x0 = self.initial_state(config)
-        reached, grown = None, (self.x0 != 0.0) | G.any(axis=1)
-        while not np.array_equal(grown, reached):
-            reached = grown
-            grown = reached | (M[:, reached] != 0.0).any(axis=1)
-        self.live = np.flatnonzero(reached)
+        seeds = np.zeros(2 + R)
+        seeds[group[(self.x0 != 0.0) | G.any(axis=1)]] = 1.0
+        self.live = np.flatnonzero((reach @ seeds)[group] > 0.0)
         self.rk4 = RK4(M[np.ix_(self.live, self.live)], G[self.live], self.dt)
 
     def block_name(self, i):
@@ -511,9 +490,19 @@ def simulate(system, gains, disturbance, noise, config):
     """Integrate the coupled system over [0, t_final] into its timeseries
     table, one segment of at most CHUNK_ROWS steps at a time.
 
+    All segments go through one segment buffer.  Each synthesizes its own
+    half-step channel rows, runs ``RK4.run`` from the previous segment's
+    last state (so segments share their edge row), tests its states for
+    finiteness, and writes t, V, y and the norms of e, z and z_res straight
+    into one (n + 1) x 6 table in the CSV's column order (``TIMESERIES``),
+    each by the whole-segment expressions.  The table is the only array
+    whose length grows with the horizon.
+
     Raises DivergenceError at the first step with a non-finite state; with
-    every state finite, at the first step where V, y or a norm overflowed,
-    naming those series.
+    every state finite, at the first step where V, y or a norm overflowed
+    (a norm squares states above 1e154), naming those series: a non-finite
+    state wins, even one in a later segment.  Both finiteness tests take a
+    whole segment at once and locate the row only in one that fails.
     """
     dyn = CoupledDynamics(system, gains, disturbance, noise, config)
     N, dt, live, h = dyn.N, dyn.dt, dyn.live, dyn.dt / 2.0
@@ -598,30 +587,31 @@ def _phasors(j0, dt, om, rows):
         len(j0), -1, om.shape[-1])[:, :rows]
 
 
-def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
-                           damping_model=DampingModel.STRUCTURAL,
-                           settle_time=None):
+def simulate_residual_mode(params, k, harmonics,
+                           damping_model=DampingModel.STRUCTURAL):
     """RK4 of uncontrolled modes, one or a batch: steady-state amplitude sups.
 
     Integrates w'' + d_k w' + sigma_k^4 w = a2 * sum_j A_j cos(om_j t + ph_j)
     from rest and records sup |(w, w')| and sup |w| over the states after
-    the steps i with i dt >= ``settle_time`` (default: 12 decay times).  Its
-    step count has the same limit as a history.  The steps are not taken:
-    a harmonic a cos(om t + ph) forces the RK4 recurrence x+ = R1 x + u_i
-    with u_i = Re(w z^i), z = q^2, q = e^(i om dt/2) and
+    the steps i with i dt >= SETTLE_DECAYS / rate, the decay rate being
+    -Re of the slow root, up to KEPT_PERIODS periods of the fastest
+    frequency om_max (sigma_k^2 or a harmonic's) past that.  Its one step
+    is dt = min(pi / (20 om_max), 0.1 / max(d_k, rate)), and its step count
+    has the limit of a coupled run.  The steps are not taken: a harmonic
+    a cos(om t + ph) forces the RK4 recurrence x+ = R1 x + u_i with
+    u_i = Re(w z^i), z = q^2, q = e^(i om dt/2) and
     w = a e^(i ph) (P1G + q P23G + q^2 P4G), whose solution from rest is
 
         x_i = sum Re(X z^i) - R1^i v,   X = (z I - R1)^-1 w,  v = sum Re(X).
 
+    At that dt every R1 the step limit admits has spectral radius below 1.
     An array of B modes with ``harmonics`` shaped (B, H, 3) gives two (B,)
-    arrays, each mode with its own defaults; the first over the limit is
-    refused, and so is the first whose R1 has spectral radius >= 1 (an
-    explicit dt past the mode's RK4 stability limit).  Each mode's kept
-    states go in CHUNK_ROWS-row slices; a pass takes consecutive slices
-    while count x longest <= CHUNK_ROWS, with the phasors z^i of
-    ``_phasors``.  R1^i v comes by doubling from a slice's first row: with
-    no eigenbasis, a critically damped mode (R1 defective) needs no special
-    case.
+    arrays, each mode with its own horizon; the first over the limit is
+    refused.  Each mode's kept states go in CHUNK_ROWS-row slices; a pass
+    takes consecutive slices while count x longest <= CHUNK_ROWS, with the
+    phasors z^i of ``_phasors``.  R1^i v comes by doubling from a slice's
+    first row: with no eigenbasis, a critically damped mode (R1 defective)
+    needs no special case.
     """
     modes = np.atleast_1d(k)
     hs = np.asarray(harmonics, dtype=float).reshape(len(modes), -1, 3)
@@ -630,18 +620,16 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
                                                         ix[:, None, :]]
     if not np.all(M[:, 1, 1] < 0.0):
         raise ValueError("residual-mode study requires positive damping")
-    roots = np.array(mode_roots(params, modes, damping_model))  # slow, fast
-    rates = -roots[0].real
+    rates = -np.array(mode_roots(params, modes, damping_model))[0].real
     dts, slices = np.empty(len(modes)), []
     for b, mode in enumerate(modes.tolist()):
         d, rate = -M[b, 1, 1], float(rates[b])
         s2 = (mode * math.pi) ** 2
         om_max = max(s2, *np.abs(hs[b, :, 1]))
-        settle = 12.0 / rate if settle_time is None else settle_time
-        t_end = (settle + 40.0 * (2.0 * math.pi / om_max) if t_final is None
-                 else t_final)
-        dts[b] = step = (dt if dt is not None else min(
-            DT_IMAG_FACTOR / om_max / 2.0, DT_REAL_FACTOR / max(d, rate)))
+        settle = SETTLE_DECAYS / rate
+        t_end = settle + KEPT_PERIODS * (2.0 * math.pi / om_max)
+        dts[b] = step = min(DT_IMAG_FACTOR / om_max / 2.0,
+                            DT_REAL_FACTOR / max(d, rate))
         try:
             n = _step_count(t_end, step, 2)
         except ConfigError:
@@ -649,10 +637,10 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
                 f"residual mode {mode} would take {t_end / step:.4g} RK4 "
                 f"steps of dt = {step:.3e} to t = {t_end:.6g}, past its "
                 f"settle horizon {settle:.6g} ({settle * rate:.3g} decay "
-                f"times of 1 / {rate:.4g}), over the limit of "
-                f"{MAX_HISTORY_VALUES} values of 2 states; beam.a1 = "
-                f"{params.a1:g} and damping: {damping_model.value} set the "
-                "decay rate and dt") from None
+                f"times of 1 / {rate:.4g}), and stepping its 2 states that "
+                f"far exceeds the limit of {MAX_STEPPED_VALUES} state "
+                f"values; beam.a1 = {params.a1:g} and damping: "
+                f"{damping_model.value} set the decay rate and dt") from None
         # the first kept step i: i dt >= settle as a float product, which the
         # rounded quotient overshoots by at most one; state j follows step j-1
         i = max(0, math.ceil(min(settle / step, n)) - 1)
@@ -660,17 +648,6 @@ def simulate_residual_mode(params, k, harmonics, t_final=None, dt=None,
             i += 1
         slices += [(b, j0, min(CHUNK_ROWS, n + 1 - j0))
                    for j0 in range(i + 1, n + 1, CHUNK_ROWS)]
-    # R1 = p(dt M), p the RK4 polynomial: its eigenvalues are p(dt lambda)
-    z = dts * roots
-    with np.errstate(over="ignore", invalid="ignore"):
-        radius = np.abs(1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24))))
-    radius = radius.max(axis=0)
-    if not np.all(radius < 1.0):
-        b = int(np.argmin(radius < 1.0))
-        raise ConfigError(
-            f"residual mode {modes[b]} diverges under RK4 at dt = "
-            f"{dts[b]:.3e}: its step propagator R1 has spectral radius "
-            f"{radius[b]:.4g} >= 1; reduce dt or leave it unset")
     rk4 = RK4(M, np.array([[0.0], [params.a2]]), dts[:, None, None])
     a, om, ph = np.moveaxis(hs, -1, 0)
     q = np.exp(0.5j * dts[:, None] * om)[..., None]

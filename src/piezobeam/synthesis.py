@@ -259,7 +259,7 @@ def place_observer_poles(A, C, targets):
     return _solve_modes(p * d - q * s4, p, p, q, lines, "unobservable")
 
 
-def hurwitz_spectrum(M, name="matrix"):
+def hurwitz_spectrum(M, name):
     """Eigenvalues of M; refuses a non-finite or non-Hurwitz M by ``name``."""
     if not np.isfinite(M).all():
         raise UnstableMatrixError(f"{name} has non-finite entries")
@@ -271,9 +271,10 @@ def hurwitz_spectrum(M, name="matrix"):
     return eigs
 
 
-def decay_rate(M):
-    """min |Re lambda| over the spectrum; requires a finite Hurwitz matrix."""
-    return float(np.min(np.abs(hurwitz_spectrum(M).real)))
+def decay_rate(M, name):
+    """min |Re lambda| over the spectrum; requires a finite Hurwitz matrix,
+    refused by ``name``."""
+    return float(np.min(np.abs(hurwitz_spectrum(M, name).real)))
 
 
 def eigvec_condition(M):
