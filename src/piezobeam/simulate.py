@@ -34,11 +34,11 @@ one at a time: ``RK4.run`` scans it in blocks, and
 ``simulate_residual_mode`` solves it in closed form under harmonic
 forcing.  ``simulate`` keeps no state history, only its timeseries table.
 
-Only the states that X(0) and the forcing reach through M are stepped.
-They are closed under M, so RK4 on their sub-block of M is exact, and the
-rest (an undriven residual mode at rest, under truncated coupling) stay
-0.0 and drop out of V, y and the norms.  The spectrum, cap, dt and step
-limit use all of M.
+Only the states of the groups (z, e, each residual mode) that X(0) and
+the forcing reach through M are stepped.  They are closed under M, so RK4
+on their sub-block is exact, and the rest (an undriven residual mode at
+rest, under truncated coupling) stay 0.0 and drop out of V, y and the norms.
+The spectrum, cap, dt and step limit use all of M.
 
 An unstable M (max Re eig(M) >= 0) is refused before stepping when dt is
 unset; with dt given it is integrated, and a non-finite state ends the

@@ -146,10 +146,18 @@ def test_check_command_ok(tmp_path, capsys):
 
 
 def test_check_command_failure_names_mode(tmp_path, capsys):
-    path = write_config(tmp_path, {"placement": {"x0": 0.5}})
-    assert main(["check", "--config", path]) == 1
-    out = capsys.readouterr().out
-    assert "mode 2" in out
+    # the second puts the sensor's zero within a factor 1e-9 of mode 1's
+    # slow root: the closed form and the block oracle split inside the
+    # ill-conditioned band, which check reports as a warning
+    for data, line in (
+            ({"placement": {"x0": 0.5}}, "mode 2"),
+            ({"N": 1, "beam": {"a1": 3.0}, "placement": {
+                "x0": 0.3, "s1": 3.7698534358161635, "s2": 1.0}},
+             "\nwarning:      observability of mode 1 is ill-conditioned "
+             "(factor 1.000e-09); closed-form verdict used\n")):
+        path = write_config(tmp_path, data)
+        assert main(["check", "--config", path]) == 1
+        assert line in capsys.readouterr().out
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -203,6 +211,43 @@ OVERFLOWS = [
      "norm_e, norm_z became non-finite at step 1 (t = 0.00025)"),
 ]
 
+# refusals that no other test reaches, each exit 2 with its message:
+# (command, id, data, message)
+REFUSED = [
+    ("tune", "no-gains", {"gains": {"strategy": "none"}},
+     "gains.strategy is 'none'; nothing to tune"),
+    ("bounds", "no-gains", {"gains": {"strategy": "none"}},
+     "bounds require gains (strategy tune or explicit)"),
+    ("check", "root-list", ["preset", "fig1"],
+     "config root must be a mapping"),
+    ("check", "sim-not-mapping", {"sim": 5},
+     "section 'sim' must be a mapping"),
+    ("check", "custom-without-modes", {"disturbance": {"kind": "custom"}},
+     "disturbance: modes required for kind 'custom'"),
+    ("check", "custom-inf-term",
+     {"disturbance": {"kind": "custom", "modes": [[[1.0, math.inf, 0.0]]]}},
+     "disturbance: harmonic terms must be finite numbers"),
+    ("check", "explicit-without-K-L", {"gains": {"strategy": "explicit"}},
+     "gains.K and gains.L required for strategy 'explicit'"),
+    ("check", "explicit-short-K-L",
+     {"gains": {"strategy": "explicit", "K": [1, 2, 3], "L": [1, 2, 3]}},
+     "gains.K and gains.L must have length 2N = 6"),
+    ("sweep", "empty-values", {"sweep": {"parameter": "x0", "values": []}},
+     "sweep.values must be a nonempty list"),
+    ("simulate", "negative-t_final", {"sim": {"t_final": -1}},
+     "sim: t_final must be >= 0, got -1.0"),
+    ("simulate", "zero-dt", {"sim": {"dt": 0}},
+     "sim: dt must be > 0, got 0.0"),
+    ("simulate", "negative-residual_modes", {"sim": {"residual_modes": -1}},
+     "sim: residual_modes must be >= 0, got -1"),
+    ("simulate", "z0-shape", {"sim": {"z0": [1, 2]}},
+     "z0 must have shape (2N,) = (6,)"),
+    ("simulate", "z_hat0-shape", {"sim": {"z_hat0": [1, 2]}},
+     "z_hat0 must have shape (2N,) = (6,)"),
+    ("simulate", "residual0-shape", {"sim": {"residual0": [1, 2]}},
+     "residual0 must have shape (2R,) = (10,)"),
+]
+
 
 @pytest.mark.parametrize("command, data, flags, code, line", [
     ("simulate", {"sim": {"t_final": math.nan}}, [], 2,
@@ -226,17 +271,23 @@ OVERFLOWS = [
       ("tune", "simulate", "bounds") for data, line in OUT_OF_RANGE],
     *[("simulate", data, [], 4, f"simulation diverged: {line}")
       for data, line in OVERFLOWS],
+    *[(command, data, [], 2, f"config error: {line}")
+      for command, _, data, line in REFUSED],
 ], ids=["nan-t_final", "inf-t_final", "nan-text-t_final", "huge-int-t_final",
         "seed-flag", "sim-seed", "lambda_L-zero", "bounds-a1-zero",
         *[f"{command}-{name}" for command in ("tune", "simulate", "bounds")
           for name in ("hold", "F_bound", "eps_bound", "huge-bounds")],
-        "z0-overflow", "residual0-overflow", "noise-overflow"])
+        "z0-overflow", "residual0-overflow", "noise-overflow",
+        *[f"{command}-{name}" for command, name, _, _ in REFUSED]])
 def test_bad_inputs_exit_with_their_documented_code(tmp_path, capsys, command,
                                                     data, flags, code, line):
-    # each of these ended in a traceback (exit 1, "placement check failed"),
-    # or, the ranges and overflows, in exit 0: with negative bounds in the
-    # report, or with a RuntimeWarning (an error here, by pyproject.toml)
-    path = write_config(tmp_path, {"preset": "fig1", **data})
+    # each of these but REFUSED ended in a traceback (exit 1, "placement
+    # check failed"), or, the ranges and overflows, in exit 0: with negative
+    # bounds in the report, or with a RuntimeWarning (an error here, by
+    # pyproject.toml).  A list is written as the config's root, without the
+    # preset.
+    path = write_config(tmp_path, data if isinstance(data, list)
+                        else {"preset": "fig1", **data})
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out), *flags]) == code
     err = capsys.readouterr().err
@@ -505,7 +556,7 @@ def test_subnormal_sensor_weights_are_config_errors(tmp_path, capsys):
 def test_step_count_is_refused_before_allocation(tmp_path, capsys, t_final,
                                                  steps):
     # fig1 has 22 states; at dt = 2.5e-4, 190.65 is 762600 steps, whose
-    # (762600 + 1) x 22 history is just over 2^24 values.  1e308 used to
+    # (762600 + 1) x 22 state values are just over 2^24.  1e308 used to
     # end in an OverflowError traceback at int(round(t_final / dt)).
     path = write_config(tmp_path, {"preset": "fig1",
                                    "sim": {"t_final": t_final}})
@@ -513,7 +564,8 @@ def test_step_count_is_refused_before_allocation(tmp_path, capsys, t_final,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: t_final = {t_final:g} at "
                           f"dt = 2.500e-04 takes {steps} steps")
-    assert "-state history exceeds 16777216 values" in err
+    assert err.endswith("; stepping 22 states through them exceeds the "
+                        "limit of 16777216 state values\n")
     assert not (tmp_path / "fig1_timeseries.csv").exists()
 
 
@@ -529,7 +581,8 @@ def test_residual_mode_runs_have_the_same_step_limit(tmp_path, capsys):
         assert err.startswith(f"config error: residual mode 4 would take "
                               f"{steps} RK4 steps of dt = ")
         assert "(12 decay times of 1 / " in err
-        assert "over the limit of 16777216 values of 2 states; " in err
+        assert ("and stepping its 2 states that far exceeds the limit of "
+                "16777216 state values; ") in err
         assert err.endswith(f"beam.a1 = {a1:g} and damping: structural set "
                             "the decay rate and dt\n")
         assert "t_final" not in err and "history" not in err
@@ -545,15 +598,26 @@ def test_simulate_row_count_and_header(tmp_path, capsys):
 
 
 def test_open_loop_metrics_name_the_open_loop_decay_rate(tmp_path, capsys):
-    # no controller, so no lambda_K: the window waits 10 / decay_rate(A)
-    path = write_config(tmp_path, {"preset": "fig1",
-                                   "gains": {"strategy": "none"},
-                                   "sim": {"t_final": 1}})
-    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert ("metrics skipped: horizon 1 too short: steady window begins "
-            "before 10 / the open-loop decay rate = 203\n") in out
-    assert "lambda_K" not in out
+    # no controller, so no lambda_K: the window waits 10 / decay_rate(A).
+    # Undamped, A does not decay: that run exited 3 after writing its CSV,
+    # as an infeasible design, with "matrix has eigenvalue with Re = 0 >= 0".
+    # sweep needs the metrics, so it refuses what simulate skips.
+    for a1, skipped in (
+            (0.01, "horizon 1 too short: steady window begins before 10 / "
+                   "the open-loop decay rate = 203"),
+            (0.0, "the open-loop plant A has eigenvalue with Re = 0 >= 0")):
+        path = write_config(tmp_path, {"preset": "fig1", "beam": {"a1": a1},
+                                       "gains": {"strategy": "none"},
+                                       "sim": {"t_final": 1},
+                                       "sweep": {"parameter": "x0",
+                                                 "values": [0.6]}})
+        assert main(["simulate", "--config", path, "--out",
+                     str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.endswith(f"\nmetrics skipped: {skipped}\n") and not err
+        assert "lambda_K" not in out
+        assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {skipped}\n"
 
 
 def test_tune_command_writes_gains(tmp_path, capsys):

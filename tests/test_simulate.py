@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import gc
 import importlib
@@ -5,6 +6,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import unittest.mock
 import warnings
 from dataclasses import replace
 
@@ -298,8 +300,9 @@ FIG1 = {"preset": "fig1", "sim": {"t_final": 0.1}}
     (with_sim(FIG1, residual0=[0, 0.1] + [0] * 8), 14),   # mode 5 joins
     ({**FIG1, "disturbance": {"driven_modes": 5}}, 16),   # modes 4 and 5
     (with_sim(FIG1, coupling="full", dt=5e-5), 22),
-    ({**with_sim(FIG1, z0=[0.1, -0.2, 0.0, 0.3, 0.4, 0.0]),   # mode 3 at rest
-      "gains": {"strategy": "none"}, "disturbance": {"driven_modes": 2}}, 8),
+    # mode 3 at rest, in the live z and e groups: stepped, and stays 0
+    ({**with_sim(FIG1, z0=[0.1, -0.2, 0.0, 0.3, 0.4, 0.0]),
+      "gains": {"strategy": "none"}, "disturbance": {"driven_modes": 2}}, 12),
 ], ids=["fig1", "wide", "residual0", "driven", "full", "open_loop"])
 def test_reached_states_match_the_full_state_run(data, reached):
     config, system, gains = built(data)
@@ -406,10 +409,9 @@ def test_run_on_few_blocks_matches_the_one_step_loop(n, blocks, tail, empty):
 @pytest.mark.parametrize("data, g", [(FIG1, 4), (G81, 81)],
                          ids=["fig1", "g81"])
 def test_run_allocates_at_most_twice_the_channel_table(data, g):
-    # the forcing pass's stage table, 1.5 times c below CHUNK_ROWS steps,
-    # is freed before the channel sum, whose weights stay within about c
-    # because b <= 2n / 3d (at g81, b = sqrt(n / 2) = 32 would make them
-    # 4.9 times c)
+    # the forcing pass's stage table, 1.5 times c, is freed before the
+    # channel sum, whose weights stay within about c because b <= 2n / 3d
+    # (at g81, b = sqrt(n / 2) = 32 would make them 4.9 times c)
     rk4 = scan_propagator(data, g)
     d, g = rk4.P4G.shape
     n = 2000
@@ -506,7 +508,7 @@ def test_unset_dt_starts_each_noise_hold_on_its_own_step():
 def test_history_limit_counts_every_state():
     # about 1e5 steps: 8e6 values of the 80 reached states, 2e7 of all 200
     config, system, gains = built(with_sim(WIDE, t_final=0.25))
-    with pytest.raises(ConfigError, match="200-state history exceeds"):
+    with pytest.raises(ConfigError, match="; stepping 200 states through "):
         simulate(system, gains, config.disturbance, config.noise, config.sim)
 
 
@@ -1114,25 +1116,50 @@ def test_measurement_spillover_enters_output():
 # single-mode residual integrator
 # ---------------------------------------------------------------------------
 
-def scalar_residual_mode(params, k, harmonics, t_final=None, dt=None,
-                         damping_model=DampingModel.STRUCTURAL,
-                         settle_time=None):
-    """Reference: simulate_residual_mode as a per-step scalar RK4 loop."""
-    from piezobeam.modal import damping_coefficients
+def residual_rule(params, k, harmonics, damping_model=DampingModel.STRUCTURAL):
+    """(rate, dt, om_max) of ``simulate_residual_mode``'s one rule for mode
+    k: the slow root's decay rate, dt = min(pi / (20 om_max), 0.1 /
+    max(d, rate)) and the fastest of sigma_k^2 and the harmonics."""
+    from piezobeam.modal import damping_coefficients, mode_roots
     from piezobeam.simulate import DT_IMAG_FACTOR, DT_REAL_FACTOR
+
+    s2 = (k * math.pi) ** 2
+    d = float(damping_coefficients(params, np.array([k]), damping_model)[0])
+    rate = -float(mode_roots(params, [k], damping_model)[0][0].real)
+    om_max = max(max((abs(om) for _, om, _ in harmonics), default=s2), s2)
+    dt = min(DT_IMAG_FACTOR / om_max / 2.0, DT_REAL_FACTOR / max(d, rate))
+    return rate, dt, om_max
+
+
+def residual_horizon(settle_decays, kept_periods):
+    """``simulate_residual_mode`` settling for ``settle_decays`` decay times
+    and keeping ``kept_periods`` periods of the fastest frequency."""
+    return unittest.mock.patch.multiple(
+        importlib.import_module("piezobeam.simulate"),
+        SETTLE_DECAYS=settle_decays, KEPT_PERIODS=kept_periods)
+
+
+def steps_horizon(rate, dt, om_max, steps, settle):
+    """The residual horizon of ``steps`` steps at dt whose first ``settle``
+    fraction settles."""
+    return residual_horizon(settle * steps * dt * rate,
+                            (1.0 - settle) * steps * dt * om_max
+                            / (2.0 * math.pi))
+
+
+def scalar_residual_mode(params, k, harmonics,
+                         damping_model=DampingModel.STRUCTURAL):
+    """Reference: simulate_residual_mode as a per-step scalar RK4 loop, on
+    the horizon its constants set."""
+    from piezobeam.modal import damping_coefficients
+    sim_module = importlib.import_module("piezobeam.simulate")
 
     s2 = (k * math.pi) ** 2
     s4 = s2 * s2
     d = float(damping_coefficients(params, np.array([k]), damping_model)[0])
-    rate = d / 2.0 if d * d < 4.0 * s4 else \
-        (d - math.sqrt(d * d - 4.0 * s4)) / 2.0
-    om_max = max(max((abs(om) for _, om, _ in harmonics), default=s2), s2)
-    if settle_time is None:
-        settle_time = 12.0 / rate
-    if t_final is None:
-        t_final = settle_time + 40.0 * (2.0 * math.pi / om_max)
-    if dt is None:
-        dt = min(DT_IMAG_FACTOR / om_max / 2.0, DT_REAL_FACTOR / max(d, rate))
+    rate, dt, om_max = residual_rule(params, k, harmonics, damping_model)
+    settle_time = sim_module.SETTLE_DECAYS / rate
+    t_final = settle_time + sim_module.KEPT_PERIODS * (2.0 * math.pi / om_max)
     a2 = params.a2
 
     def accel(w, wd, t):
@@ -1187,20 +1214,20 @@ OVERDAMPED = BeamParams.dimensionless(a1=3.0)
                  [(1.0, damped_omega(3, STRUCTURAL, OVERDAMPED), 0.0),
                   (0.5, 3.0, 1.1)],
                  OVERDAMPED, {}, id="overdamped"),
-    # 35k kept states: the transient carries over two slice boundaries
+    # 36k kept states: the transient carries over two slice boundaries
     pytest.param(5, STRUCTURAL, [(1.0, damped_omega(5, STRUCTURAL), 0.0)],
-                 PARAMS, {"t_final": 4.0, "dt": 1e-4, "settle_time": 0.5},
+                 PARAMS, {"settle_decays": 0.6, "kept_periods": 900},
                  id="window-over-CHUNK_ROWS"),
 ])
 def test_residual_mode_matches_scalar_loop(k, model, harmonics, params,
                                            horizon):
     if horizon:
-        kept = (horizon["t_final"] - horizon["settle_time"]) / horizon["dt"]
+        _, dt, om_max = residual_rule(params, k, harmonics, model)
+        kept = horizon["kept_periods"] * (2.0 * math.pi / om_max) / dt
         assert kept > 2 * CHUNK_ROWS
-    got = simulate_residual_mode(params, k, harmonics, damping_model=model,
-                                 **horizon)
-    want = scalar_residual_mode(params, k, harmonics, damping_model=model,
-                                **horizon)
+    with residual_horizon(**horizon) if horizon else contextlib.nullcontext():
+        got = simulate_residual_mode(params, k, harmonics, model)
+        want = scalar_residual_mode(params, k, harmonics, model)
     assert want[0] > 0.0 and want[1] > 0.0
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
@@ -1216,8 +1243,8 @@ def test_residual_mode_matches_scalar_loop(k, model, harmonics, params,
 def test_residual_mode_matches_scalar_loop_on_short_runs(k, ratio, model,
                                                          harmonics, steps,
                                                          settle):
-    """The closed form against the stepped loop on short runs, the sup
-    taken from any step on.
+    """The closed form against the stepped loop on short runs of about
+    ``steps`` steps, the sup taken from the ``settle`` fraction on.
 
     The draw is on the damping ratio d / sigma^2, for either model: both
     solutions carry a relative error of about (d / sigma^2)^2 eps, the
@@ -1228,23 +1255,23 @@ def test_residual_mode_matches_scalar_loop_on_short_runs(k, ratio, model,
     s2 = (k * math.pi) ** 2
     a1 = ratio / s2 if model is DampingModel.KELVIN_VOIGT else ratio
     params = BeamParams.dimensionless(a1=a1)
-    dt = 0.05 / (s2 * max(1.0, ratio))      # |lambda| dt <= 0.05
     hs = [(a, r * s2, ph) for a, r, ph in harmonics]
-    run = {"t_final": steps * dt, "dt": dt, "settle_time": settle * steps * dt,
-           "damping_model": model}
-    got = simulate_residual_mode(params, k, hs, **run)
-    want = scalar_residual_mode(params, k, hs, **run)
+    with steps_horizon(*residual_rule(params, k, hs, model), steps, settle):
+        got = simulate_residual_mode(params, k, hs, model)
+        want = scalar_residual_mode(params, k, hs, model)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
 def test_residual_mode_sup_starts_at_settle_time():
-    # the sup covers states after step i with i dt >= settle_time only
+    # the sup covers states after step i with i dt >= the settle time only,
+    # here of a 0.3 horizon: none when it settles for all of it
     om = damped_omega(5, DampingModel.STRUCTURAL)
+    rate, dt, om_max = residual_rule(PARAMS, 5, [(1.0, om, 0.0)])
     for settle in (0.0, 0.05, 0.1 + 1e-3, 0.3):
-        got = simulate_residual_mode(PARAMS, 5, [(1.0, om, 0.0)],
-                                     t_final=0.3, dt=1e-4, settle_time=settle)
-        want = scalar_residual_mode(PARAMS, 5, [(1.0, om, 0.0)],
-                                    t_final=0.3, dt=1e-4, settle_time=settle)
+        with residual_horizon(settle * rate,
+                              (0.3 - settle) * om_max / (2.0 * math.pi)):
+            got = simulate_residual_mode(PARAMS, 5, [(1.0, om, 0.0)])
+            want = scalar_residual_mode(PARAMS, 5, [(1.0, om, 0.0)])
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
     assert got == (0.0, 0.0)
 
@@ -1253,12 +1280,12 @@ def test_residual_mode_memory_does_not_grow_with_horizon():
     om = damped_omega(5, DampingModel.STRUCTURAL)
     tracemalloc.start()
     try:
-        sup, _ = simulate_residual_mode(PARAMS, 5, [(1.0, om, 0.0)],
-                                        t_final=400.0, dt=1e-3)
+        with residual_horizon(12, 10_000):
+            sup, _ = simulate_residual_mode(PARAMS, 5, [(1.0, om, 0.0)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 4e5 steps: held at once, the states alone would take 6.4 MB and the
+    # 4e5 kept states: held at once, they alone would take 6.4 MB and the
     # half-step forcing another 6.4 MB
     assert sup > 0.0
     assert peak < 4e6, peak
@@ -1278,18 +1305,20 @@ def sup_bits(sups):
                           min_size=1, max_size=36),
        H=st.integers(1, 3),
        horizon=st.one_of(st.none(), st.tuples(
+           st.floats(0.0, 12.0),
            st.sampled_from([1, 3, 1000, CHUNK_ROWS, CHUNK_ROWS + 1,
-                            2 * CHUNK_ROWS + 5, 3 * CHUNK_ROWS]),
-           st.floats(0.0, 1.0))))
+                            2 * CHUNK_ROWS + 5, 3 * CHUNK_ROWS]))))
 def test_residual_mode_batch_matches_single_calls(model, ratio, B, modes,
                                                   harmonics, H, horizon):
     """A batch of modes gives each mode's single-call sups bit for bit.
 
-    Default horizons give each mode its own window, so a pass holds
-    slices of several lengths, padded to the longest; an explicit horizon
-    shares dt, t_final and settle_time, with windows up to three slices.
-    ``ratio`` is the damping ratio d / sigma^2 at mode 4 (at every mode
-    under structural damping).
+    Each mode has its own dt, settle time and window, so a pass holds
+    slices of several lengths, padded to the longest.  The default horizon
+    keeps 40 periods; a drawn one settles for up to 12 decay times and
+    keeps the periods of up to three slices of states (40 steps a period,
+    more where the damping, not the frequency, sets dt).  ``ratio`` is the
+    damping ratio d / sigma^2 at mode 4 (at every mode under structural
+    damping).
     """
     modes = np.array(modes[:B])
     kv = model is DampingModel.KELVIN_VOIGT
@@ -1298,15 +1327,12 @@ def test_residual_mode_batch_matches_single_calls(model, ratio, B, modes,
     om = resonant_frequencies(params, modes, model)
     hs = np.resize(np.array(harmonics), (len(modes), H, 3))   # cycled
     hs[..., 1] *= om[:, None]
-    run = {"damping_model": model}
-    if horizon is not None:
-        steps, settle = horizon
-        s2 = (modes.max() * math.pi) ** 2
-        dt = 0.05 / (s2 * max(1.0, ratio * (modes.max() / 4) ** 2))
-        run.update(t_final=steps * dt, dt=dt, settle_time=settle * steps * dt)
-    got = simulate_residual_mode(params, modes, hs, **run)
-    want = [simulate_residual_mode(params, int(k), [tuple(h) for h in hk],
-                                   **run) for k, hk in zip(modes, hs)]
+    with (contextlib.nullcontext() if horizon is None
+          else residual_horizon(horizon[0], horizon[1] / 40)):
+        got = simulate_residual_mode(params, modes, hs, model)
+        want = [simulate_residual_mode(params, int(k),
+                                       [tuple(h) for h in hk], model)
+                for k, hk in zip(modes, hs)]
     assert got[0].shape == got[1].shape == (len(modes),)
     assert sup_bits(np.transpose(got)) == sup_bits(want)
 
@@ -1329,18 +1355,19 @@ def matrix_power_state(params, k, harmonic, dt, j):
 
 @pytest.mark.parametrize("j", range(1, 7))
 def test_residual_mode_first_state_has_matrix_power_bits(j):
-    # a window of the one state j: R1^j v by square-and-multiply agrees
-    # with np.linalg.matrix_power's products to the rounding of the terms
-    # (j = 3 multiplies in another order and differs in the last bits)
+    # a window of the one state j (settled from step j - 1.5, to step j):
+    # R1^j v by square-and-multiply agrees with np.linalg.matrix_power's
+    # products to the rounding of the terms (j = 3 multiplies in another
+    # order and differs in the last bits)
     modes = np.array([3, 6, 12])
     for a1 in np.linspace(0.001, 3.0, 60):
         params = BeamParams.dimensionless(a1=a1)
-        dt = 0.05 / ((modes * math.pi) ** 2 * max(1.0, a1))
-        hs = [(1.0, 0.9 * (k * math.pi) ** 2, 0.2) for k in modes]
-        got = [simulate_residual_mode(params, int(k), [h], t_final=j * step,
-                                      dt=step, settle_time=(j - 1) * step)
-               for k, h, step in zip(modes, hs, dt)]
-        for sups, k, h, step in zip(got, modes, hs, dt):
+        for k in modes:
+            h = (1.0, 0.9 * (k * math.pi) ** 2, 0.2)
+            rate, step, om_max = residual_rule(params, int(k), [h])
+            with residual_horizon((j - 1.5) * step * rate,
+                                  1.5 * step * om_max / (2.0 * math.pi)):
+                sups = simulate_residual_mode(params, int(k), [h])
             x, size = matrix_power_state(params, k, h, step, j)
             np.testing.assert_allclose(
                 sups, (math.hypot(*x), abs(x[0])), rtol=0,
@@ -1368,12 +1395,12 @@ def test_residual_mode_batch_memory_does_not_grow_with_horizon():
     hs = np.stack([np.ones(4), om, np.zeros(4)], axis=-1)[:, None]
     tracemalloc.start()
     try:
-        sups, _ = simulate_residual_mode(PARAMS, modes, hs, t_final=400.0,
-                                         dt=1e-3)
+        with residual_horizon(12, 10_000):
+            sups, _ = simulate_residual_mode(PARAMS, modes, hs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 4e5 steps a mode and 1.6e6 in all: held at once, the states alone
+    # 4e5 kept states a mode and 1.6e6 in all: held at once, they alone
     # would take 25.6 MB
     assert (sups > 0.0).all()
     assert peak < 4e6, peak
@@ -1408,26 +1435,40 @@ def test_residual_mode_requires_damping():
         simulate_residual_mode(BeamParams(a1=0.0, a2=1.0), 4, [(1.0, 1.0, 0.0)])
 
 
-@pytest.mark.parametrize("modes", [[20], [4, 20, 21]])
-def test_residual_mode_refuses_a_diverging_recurrence(modes):
-    # at a1 = 2 under Kelvin-Voigt damping, mode 20 has d dt = 12.5 at this
-    # dt: its R1 has spectral radius 6.3e9, and the closed form overflowed
-    # to nan rows that returned sups of 0 with an "invalid value" warning.
-    # Mode 4 is stable at this dt; the first unstable mode is named.
-    kv = DampingModel.KELVIN_VOIGT
-    params = BeamParams.dimensionless(a1=2.0)
-    om = resonant_frequencies(params, modes, kv)
-    hs = np.stack([np.ones(len(modes)), om, np.zeros(len(modes))],
-                  axis=-1)[:, None]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ConfigError) as err:
-            simulate_residual_mode(params, np.array(modes), hs, t_final=0.2,
-                                   dt=2e-5, settle_time=0.1, damping_model=kv)
-    assert re.fullmatch(
-        r"residual mode 20 diverges under RK4 at dt = 2\.000e-05: its step "
-        r"propagator R1 has spectral radius 6\.25\de\+09 >= 1; reduce dt or "
-        r"leave it unset", str(err.value)), str(err.value)
+class _Built(Exception):
+    """Raised by a stand-in RK4 once it holds the residual propagators."""
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(a1=st.floats(-12.0, 3.0).map(lambda e: 10.0 ** e),
+       model=st.sampled_from(DampingModel), k=st.integers(1, 260),
+       ratio=st.floats(0.0, 2.0))
+# the largest radius of a scan over a1 in [1e-12, 1e3], modes 1-260 and
+# forcing up to 2 sigma^2: 0.9999986, where the settle horizon meets the
+# step limit
+@example(a1=6.918309709189363e-11, model=DampingModel.KELVIN_VOIGT, k=231,
+         ratio=2.0)
+def test_residual_mode_rule_dt_has_stable_propagators(a1, model, k, ratio):
+    """At the rule's dt, every mode that the step limit admits has an R1
+    of spectral radius below 1: the closed form never meets a diverging
+    recurrence, so none is refused."""
+    params = BeamParams.dimensionless(a1=a1)
+    built = []
+
+    def rk4(*args):
+        built.append(RK4(*args))
+        raise _Built
+
+    with unittest.mock.patch.object(
+            importlib.import_module("piezobeam.simulate"), "RK4", rk4):
+        try:
+            simulate_residual_mode(params, k, [(1.0, ratio * (k * math.pi)
+                                                ** 2, 0.0)], model)
+        except ConfigError:         # over the step limit: never stepped
+            assume(False)
+        except _Built:
+            pass
+    assert np.abs(np.linalg.eigvals(built[0].R1)).max() < 1.0
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

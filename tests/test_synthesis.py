@@ -385,8 +385,8 @@ def test_observer_rate_34():
     system = assemble(PARAMS, 3, PATCH)
     L = place_observer_poles(system.A, system.C,
                              radial_pole_targets(system.A, 34.0))
-    assert decay_rate(system.A - np.outer(L, system.C)) == pytest.approx(
-        34.0, abs=1e-6)
+    assert decay_rate(system.A - np.outer(L, system.C),
+                      "A - LC") == pytest.approx(34.0, abs=1e-6)
 
 
 def test_observer_rejects_unobservable_pair():
@@ -457,12 +457,13 @@ def test_radial_targets_keep_overdamped_modes_apart():
 # ---------------------------------------------------------------------------
 
 def test_decay_rate_diagonal():
-    assert decay_rate(np.diag([-1.0, -3.0])) == pytest.approx(1.0, rel=1e-12)
+    assert decay_rate(np.diag([-1.0, -3.0]), "D") == pytest.approx(
+        1.0, rel=1e-12)
 
 
 def test_decay_rate_rotation():
     M = np.array([[-2.0, 5.0], [-5.0, -2.0]])
-    assert decay_rate(M) == pytest.approx(2.0, rel=1e-12)
+    assert decay_rate(M, "M") == pytest.approx(2.0, rel=1e-12)
 
 
 def test_unstable_spectrum_is_refused_by_name():
@@ -474,10 +475,10 @@ def test_unstable_spectrum_is_refused_by_name():
 
 
 def test_decay_rate_rejects_unstable():
-    with pytest.raises(UnstableMatrixError):
-        decay_rate(np.diag([-1.0, 0.5]))
-    with pytest.raises(UnstableMatrixError):
-        decay_rate(np.zeros((2, 2)))
+    with pytest.raises(UnstableMatrixError, match="^D has eigenvalue"):
+        decay_rate(np.diag([-1.0, 0.5]), "D")
+    with pytest.raises(UnstableMatrixError, match="^Z has eigenvalue"):
+        decay_rate(np.zeros((2, 2)), "Z")
 
 
 # ---------------------------------------------------------------------------
